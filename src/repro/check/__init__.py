@@ -25,7 +25,6 @@ from repro.check.differential import (
     DifferentialDivergence,
     DifferentialReport,
     check_workload,
-    check_workload_batched,
     run_differential,
 )
 from repro.check.fuzz import FuzzFailure, FuzzReport, FuzzTrial, build_trial, fuzz, replay
@@ -52,7 +51,6 @@ __all__ = [
     "check_spec_expansion",
     "check_sweep_equivalence",
     "check_workload",
-    "check_workload_batched",
     "fuzz",
     "load_reproducer",
     "random_sweep_spec",

@@ -17,9 +17,6 @@ simulator under the full correctness harness:
   (:mod:`repro.core.typed`), a forced-interpreted re-run must be
   bit-identical in every counter (the typed kernel is an optimisation,
   never a semantic change);
-* **batched == scalar** -- a two-instance lockstep batch
-  (:mod:`repro.core.batch`) must reproduce the plain scalar run
-  bit-identically, instance by instance;
 * **traced == untraced** -- a telemetry re-run must match once the
   telemetry-only counters are stripped;
 * **functional == cycle warmup** -- measured IPC of the two warmup
@@ -57,8 +54,6 @@ from repro.common.params import (
     SimParams,
 )
 from repro.common.telemetry import Telemetry, TelemetryConfig
-from repro.core.batch import batchable
-from repro.core.batch import run_batch as batch_run
 from repro.core.simulator import Simulator
 from repro.prefetch import prefetcher_names
 from repro.trace.cfg import ProgramSpec, generate_program
@@ -284,7 +279,7 @@ def _strip_telemetry(counters: dict) -> dict:
 
 def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> FuzzFailure | None:
     """Run one trial under every property; None when all hold."""
-    # Property 9 (first: cheap and simulation-free): a random declarative
+    # Property 8 (first: cheap and simulation-free): a random declarative
     # sweep spec expands deterministically, round-trips through its dict
     # form, and shard-partitions with no loss, overlap or skew.
     from repro.check.sweepdiff import check_spec_expansion, random_sweep_spec
@@ -331,7 +326,7 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
             f"{plain.cycles}, instructions {result.instructions} vs {plain.instructions}",
         )
 
-    # Property 8 (ordering: needs `plain` from property 2): when the
+    # Property 7 (ordering: needs `plain` from property 2): when the
     # plain run took the typed flat kernel, a forced-interpreted re-run
     # must be bit-identical -- the typed backend is an optimisation,
     # never a semantic change.  (When the trial draws a real prefetcher
@@ -356,28 +351,6 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
                 f"cycles {plain.cycles} vs {interp.cycles}, instructions "
                 f"{plain.instructions} vs {interp.instructions}",
             )
-
-    # Property 7 (ordering: needs `plain` from property 2): the lockstep
-    # batch path is bit-identical to scalar execution.  Two instances of
-    # the plain config advance in lockstep via the stepping kernel; each
-    # must reproduce the scalar run exactly.
-    plain_params = trial.params.replace(check_invariants=False)
-    if batchable(plain_params)[0]:
-        batch_sims = [Simulator(plain_params, program, stream) for _ in range(2)]
-        batch_results = batch_run(batch_sims)
-        for b in batch_results:
-            if (
-                b.cycles != plain.cycles
-                or b.instructions != plain.instructions
-                or b.stats.as_dict() != plain.stats.as_dict()
-            ):
-                return FuzzFailure(
-                    trial,
-                    "batched_scalar_identity",
-                    f"batched run differs from scalar: cycles {b.cycles} vs "
-                    f"{plain.cycles}, instructions {b.instructions} vs "
-                    f"{plain.instructions}",
-                )
 
     # Property 3: telemetry only observes (traced == untraced).
     tel = Telemetry(TelemetryConfig(interval_stride=2_000, ring_capacity=256))

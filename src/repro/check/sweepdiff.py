@@ -28,7 +28,7 @@ strategy actually recomputes its points.  The harness then asserts:
 
 The fuzzer reuses the expansion-layer half of this module:
 :func:`random_sweep_spec` plus :func:`check_spec_expansion` form fuzz
-property 9 (spec round-trip and shard-union identity on random specs).
+property 8 (spec round-trip and shard-union identity on random specs).
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def check_sweep_equivalence(
 
 
 # ----------------------------------------------------------------------
-# Fuzz property 9: expansion round-trip + shard-union identity
+# Fuzz property 8: expansion round-trip + shard-union identity
 # ----------------------------------------------------------------------
 _FUZZ_AXES = (
     ("frontend.ftq_entries", (2, 4, 8, 16, 24, 32)),
@@ -277,7 +277,7 @@ def random_sweep_spec(rng: random.Random) -> SweepSpec:
 
 
 def check_spec_expansion(spec: SweepSpec) -> str | None:
-    """Fuzz property 9 body; returns a failure message or ``None``.
+    """Fuzz property 8 body; returns a failure message or ``None``.
 
     * expansion is deterministic (two expansions agree point for point);
     * ``to_dict`` -> ``parse_spec`` round-trips to the identical

@@ -191,19 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="use functional fast-forward warmup (warmup_mode=functional)",
     )
     bench.add_argument(
-        "--batched",
-        action="store_true",
-        help="benchmark the lockstep batch path (repro.core.batch) instead "
-        "of one scalar instance per workload",
-    )
-    bench.add_argument(
-        "--batch-width",
-        type=int,
-        default=None,
-        metavar="N",
-        help="instances per lockstep batch for --batched (default 4)",
-    )
-    bench.add_argument(
         "--kernel",
         choices=["auto", "typed", "interp"],
         default="auto",
@@ -372,13 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="re-run a failure reproducer JSON instead of fuzzing",
-    )
-    check.add_argument(
-        "--batched",
-        action="store_true",
-        help="catalogue mode only: check the lockstep batch path "
-        "(differential + batched-vs-scalar bit-identity) instead of the "
-        "scalar + invariant path",
     )
     check.add_argument(
         "--sweep",
@@ -552,7 +532,6 @@ def _write_stats_json(result, output: str) -> Path:
             "check_invariants": params.check_invariants,
             "kernel": kernel,
             "kernel_backend": kernel_backend_for_params(params.replace(kernel=kernel)),
-            "batch": "scalar",
         },
         "counters": {name: result.stats.get(name) for name in result.stats.names()},
     }
@@ -722,15 +701,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         params = params.replace(warmup_instructions=args.warmup)
     if args.instructions is not None:
         params = params.replace(sim_instructions=args.instructions)
-    from repro.experiments.bench import DEFAULT_BENCH_BATCH_WIDTH, append_history
+    from repro.experiments.bench import append_history
 
     payload = run_bench(
         workloads=workloads,
         params=params,
         repeats=args.repeats,
         fast_warmup=args.fast_warmup,
-        batched=args.batched,
-        batch_width=args.batch_width or DEFAULT_BENCH_BATCH_WIDTH,
         kernel=args.kernel,
     )
     path = write_bench(payload, args.output or _BENCH_OUTPUT)
@@ -894,18 +871,8 @@ def _check_sweep(spec_path: str) -> int:
 
 
 def _check_catalogue(args: argparse.Namespace) -> int:
-    """Differential + invariant check of catalogue workloads.
-
-    ``--batched`` swaps each workload's check onto the lockstep batch
-    path: differential oracle agreement for every batch member plus
-    batched-vs-scalar bit-identity, with the (scalar-only) per-cycle
-    invariant layer replaced by that identity check.
-    """
-    from repro.check import (
-        DifferentialDivergence,
-        check_workload,
-        check_workload_batched,
-    )
+    """Differential + invariant check of catalogue workloads."""
+    from repro.check import DifferentialDivergence, check_workload
     from repro.check.invariants import InvariantViolation
     from repro.experiments.configs import QUICK_WORKLOADS, default_params
 
@@ -920,24 +887,22 @@ def _check_catalogue(args: argparse.Namespace) -> int:
     params = default_params().replace(
         warmup_instructions=args.warmup, sim_instructions=args.instructions
     )
-    check = check_workload_batched if args.batched else check_workload
-    mode = " (batched)" if args.batched else ""
     failures = 0
     for name in names:
         try:
-            report = check(name, params)
+            report = check_workload(name, params)
         except (DifferentialDivergence, InvariantViolation) as exc:
             failures += 1
-            print(f"{name:14s} FAIL{mode}\n{exc}")
+            print(f"{name:14s} FAIL\n{exc}")
             continue
         print(
-            f"{name:14s} ok{mode}  ({report.branches_checked} branches, "
+            f"{name:14s} ok  ({report.branches_checked} branches, "
             f"{report.committed_instructions} instructions checked)"
         )
     if failures:
         log.error("%d of %d workloads failed the differential check", failures, len(names))
         return 1
-    print(f"all {len(names)} workload(s) clean{mode}")
+    print(f"all {len(names)} workload(s) clean")
     return 0
 
 

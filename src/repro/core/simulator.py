@@ -73,8 +73,7 @@ class Simulator:
         self.kernel_backend = "interp"
         """Which cycle-loop backend the last :meth:`run` selected:
         ``typed-compiled`` / ``typed-python`` / ``interp``.  Stays
-        ``interp`` until a run decides otherwise (the batched lockstep
-        driver always steps the interpreted kernels)."""
+        ``interp`` until a run decides otherwise."""
         SimBuilder(params, program, stream).wire(self, telemetry)
         if profiler is not None:
             profiler.bind_to(self)
@@ -233,15 +232,20 @@ class Simulator:
             f"history={getattr(policy, 'value', policy)!r}"
         )
 
-    def _prepare_run(self, workload_name: str = "") -> tuple[int, int, int]:
-        """Everything :meth:`run` does before the cycle loop starts.
+    def run(self, workload_name: str = "") -> RunResult:
+        """Simulate warmup + measurement windows; return the result.
 
-        Applies the functional warmup fast-forward when configured and
-        returns the ``(target, warmup, guard)`` triple the cycle kernel
-        is called with.  Split out so the batched lockstep driver
-        (:mod:`repro.core.batch`) can prepare each instance, interleave
-        their stepping kernels, and finish them identically to a scalar
-        :meth:`run`.
+        ``params.warmup_mode == "functional"`` fast-forwards the warmup
+        window architecturally (:func:`repro.core.warmup.functional_warmup`)
+        and starts the cycle-accurate loop at the measurement boundary;
+        ``"cycle"`` (and ``"auto"``, for this direct API) warms through
+        the full pipeline as before.
+
+        The cycle loop is either the flat typed kernel
+        (:mod:`repro.core.typedkern`, bit-identical by contract) or the
+        schedule-specialized interpreted kernel for this simulator's
+        :meth:`active_features` -- selected by ``params.kernel`` /
+        ``REPRO_KERNEL`` and recorded in :attr:`kernel_backend`.
         """
         params = self.params
         if workload_name:
@@ -257,11 +261,15 @@ class Simulator:
         ):
             functional_warmup(self)
             self._begin_measurement()
-        return target, warmup, guard
 
-    def _finish_run(self, workload_name: str = "") -> RunResult:
-        """Everything :meth:`run` does after the cycle loop completes."""
-        params = self.params
+        if resolve_kernel_mode(params.kernel) != "interp" and supported(self)[0]:
+            self.kernel_backend = backend_name()
+            typed_kernel(self, target, warmup, guard)
+        else:
+            self.kernel_backend = "interp"
+            kernel = build_kernel(self.active_features())
+            kernel(self, target, warmup, guard)
+
         if not self._measuring:
             self._begin_measurement()
         instructions = self.backend.committed - self._measure_start_committed
@@ -281,31 +289,6 @@ class Simulator:
         if self.profiler is not None:
             self.profiler.finalize(self, result)
         return result
-
-    def run(self, workload_name: str = "") -> RunResult:
-        """Simulate warmup + measurement windows; return the result.
-
-        ``params.warmup_mode == "functional"`` fast-forwards the warmup
-        window architecturally (:func:`repro.core.warmup.functional_warmup`)
-        and starts the cycle-accurate loop at the measurement boundary;
-        ``"cycle"`` (and ``"auto"``, for this direct API) warms through
-        the full pipeline as before.
-
-        The cycle loop is either the flat typed kernel
-        (:mod:`repro.core.typedkern`, bit-identical by contract) or the
-        schedule-specialized interpreted kernel for this simulator's
-        :meth:`active_features` -- selected by ``params.kernel`` /
-        ``REPRO_KERNEL`` and recorded in :attr:`kernel_backend`.
-        """
-        target, warmup, guard = self._prepare_run(workload_name)
-        if resolve_kernel_mode(self.params.kernel) != "interp" and supported(self)[0]:
-            self.kernel_backend = backend_name()
-            typed_kernel(self, target, warmup, guard)
-        else:
-            self.kernel_backend = "interp"
-            kernel = build_kernel(self.active_features())
-            kernel(self, target, warmup, guard)
-        return self._finish_run(workload_name)
 
 
 def simulate(

@@ -103,9 +103,8 @@ def typed_eligible(params: SimParams) -> bool:
     Mirrors :func:`supported` from params alone: the checker feature
     comes from ``check_invariants`` and the prefetcher feature from any
     dedicated prefetcher (``perfect`` is a memory flag, not a
-    component).  The sweep runner uses this to prefer the typed scalar
-    path over interpreted lockstep batching, and the cache layer to
-    derive the recorded backend from resolved params.
+    component).  The cache layer uses this to derive the recorded
+    backend from resolved params.
     """
     if resolve_kernel_mode(params.kernel) == "interp":
         return False

@@ -17,12 +17,6 @@ Methodology:
   (schema 2; it weights every workload equally, where the total-over-
   total ratio lets one slow workload dominate), with the totals kept
   alongside.
-* ``--batched`` benchmarks the lockstep batch path
-  (:mod:`repro.core.batch`): ``batch_width`` identical instances per
-  workload advance in lockstep, and the rate counts every instance's
-  instructions -- the sweep-throughput number a batch-grouped
-  ``repro sweep`` actually sees, directly comparable to the scalar
-  rate.
 
 Every run can append one line to ``BENCH_history.jsonl`` (platform-
 stamped) so the perf trajectory lives in-repo; ``compare_bench`` gates
@@ -40,7 +34,6 @@ from pathlib import Path
 
 from repro.common.params import SimParams
 from repro.common.stats import geomean
-from repro.core.batch import run_batch
 from repro.core.simulator import Simulator
 from repro.core.typed import kernel_backend_for_params, resolve_kernel_mode
 from repro.experiments.configs import QUICK_WORKLOADS, default_params
@@ -49,7 +42,6 @@ from repro.trace.workloads import make_trace
 BENCH_SCHEMA_VERSION = 2
 DEFAULT_OUTPUT = "BENCH_core.json"
 HISTORY_FILE = "BENCH_history.jsonl"
-DEFAULT_BENCH_BATCH_WIDTH = 4
 
 
 def bench_workload(
@@ -80,52 +72,11 @@ def bench_workload(
     }
 
 
-def bench_workload_batched(
-    workload: str,
-    params: SimParams,
-    repeats: int = 1,
-    width: int = DEFAULT_BENCH_BATCH_WIDTH,
-) -> dict:
-    """Time one workload on the lockstep batch path (best of repeats).
-
-    ``width`` identical instances advance in lockstep; the rate counts
-    all ``width * n`` simulated instructions over the batch's wall
-    time, which is what a batch-grouped sweep gets per worker.  The
-    members are bit-identical runs, so ``cycles``/``ipc`` report the
-    first instance (all agree; pinned by ``tests/test_batch.py``).
-    """
-    n = params.warmup_instructions + params.sim_instructions
-    width = max(1, width)
-    program, stream = make_trace(workload, n)  # untimed: setup, not simulation
-    best_wall = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        sims = [Simulator(params, program, stream) for _ in range(width)]
-        t0 = time.perf_counter()
-        runs = run_batch(sims, [workload] * width)
-        wall = time.perf_counter() - t0
-        if wall < best_wall:
-            best_wall = wall
-            result = runs[0]
-    total = n * width
-    return {
-        "instructions": total,
-        "batch_width": width,
-        "measured_instructions": result.instructions,
-        "cycles": result.cycles,
-        "ipc": result.ipc,
-        "wall_seconds": best_wall,
-        "instructions_per_second": total / best_wall if best_wall > 0 else 0.0,
-    }
-
-
 def run_bench(
     workloads: list[str] | None = None,
     params: SimParams | None = None,
     repeats: int = 1,
     fast_warmup: bool = False,
-    batched: bool = False,
-    batch_width: int = DEFAULT_BENCH_BATCH_WIDTH,
     kernel: str | None = None,
 ) -> dict:
     """Benchmark the cycle loop; returns the BENCH_core payload.
@@ -134,15 +85,12 @@ def run_bench(
     (``repro bench --fast-warmup``); the reported rate still counts the
     warmup instructions -- they are simulated, just architecturally --
     so the speedup from skipping cycle-accurate warmup shows up in
-    ``instructions_per_second`` directly.  ``batched`` benchmarks the
-    lockstep batch path instead of one scalar instance per workload.
-    ``kernel`` overrides the cycle-kernel mode (mirrors
-    ``REPRO_KERNEL``); the *resolved* mode and the concrete backend the
+    ``instructions_per_second`` directly.  ``kernel`` overrides the
+    cycle-kernel mode (mirrors ``REPRO_KERNEL``); the *resolved* mode and the concrete backend the
     scalar runs select (``typed-compiled`` / ``typed-python`` /
     ``interp``) are recorded in the payload's config, so benchmark
     numbers from different backends are never mistaken for the same
-    series (batched runs always drive the interpreted stepping
-    kernels).
+    series.
     """
     workloads = workloads or list(QUICK_WORKLOADS)
     params = params or default_params()
@@ -151,15 +99,7 @@ def run_bench(
     if kernel is not None:
         params = params.replace(kernel=kernel)
     params = params.replace(kernel=resolve_kernel_mode(params.kernel))
-    kernel_backend = "interp" if batched else kernel_backend_for_params(params)
-    per_workload: dict[str, dict] = {}
-    for wl in workloads:
-        if batched:
-            per_workload[wl] = bench_workload_batched(
-                wl, params, repeats=repeats, width=batch_width
-            )
-        else:
-            per_workload[wl] = bench_workload(wl, params, repeats=repeats)
+    per_workload = {wl: bench_workload(wl, params, repeats=repeats) for wl in workloads}
     total_instrs = sum(w["instructions"] for w in per_workload.values())
     total_wall = sum(w["wall_seconds"] for w in per_workload.values())
     rates = [w["instructions_per_second"] for w in per_workload.values()]
@@ -168,14 +108,12 @@ def run_bench(
         "sim_instructions": params.sim_instructions,
         "warmup_mode": params.warmup_mode,
         "kernel": params.kernel,
-        "kernel_backend": kernel_backend,
+        "kernel_backend": kernel_backend_for_params(params),
         "label": params.label(),
         "repeats": repeats,
         "workloads": workloads,
-        "mode": "batched" if batched else "scalar",
+        "mode": "scalar",
     }
-    if batched:
-        config["batch_width"] = max(1, batch_width)
     return {
         "schema": BENCH_SCHEMA_VERSION,
         "platform": {
@@ -231,7 +169,6 @@ def append_history(payload: dict, path: str | Path = HISTORY_FILE) -> Path:
                 "kernel",
                 "kernel_backend",
                 "repeats",
-                "batch_width",
             )
             if k in payload.get("config", {})
         },

@@ -189,7 +189,7 @@ def build_manifest(key: str, result: RunResult, meta: dict | None = None) -> dic
     Answers "where did this number come from" for a warm cache: what
     was simulated (workload, config digest, resolved warmup/check
     modes), by which code (simulation schema + package version), on
-    what host, and at what cost (wall seconds, peak RSS, batch mode --
+    what host, and at what cost (wall seconds, peak RSS, worker pid --
     supplied by the runner through ``meta``).
     """
     params = result.params
@@ -304,7 +304,7 @@ class ResultCache:
         """Store one result atomically (tmp file + rename).
 
         ``meta`` carries runner-supplied provenance fields (wall time,
-        peak RSS, worker pid, batch mode) merged into the sidecar
+        peak RSS, worker pid) merged into the sidecar
         manifest.
         """
         self.directory.mkdir(parents=True, exist_ok=True)

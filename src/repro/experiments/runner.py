@@ -28,12 +28,11 @@ from repro.common.log import configure as configure_logging
 from repro.common.log import current_level_name, get_logger
 from repro.common.params import WARMUP_MODES, SimParams
 from repro.common.stats import amean, geomean
-from repro.core.batch import batchable, simulate_batch
+from repro.core.batch import batch_width  # noqa: F401 - imported by perfbench/traced.py
 from repro.core.build import resolve_components
 from repro.core.metrics import RunResult
 from repro.core.simulator import simulate
 from repro.core.typed import resolve_kernel_mode as _resolve_kernel_env
-from repro.core.typed import typed_eligible
 from repro.experiments.cache import CACHE_STATS, ResultCache, cache_enabled, run_key
 from repro.experiments.configs import repro_jobs
 from repro.trace.workloads import make_trace
@@ -41,33 +40,11 @@ from repro.trace.workloads import make_trace
 _CACHE: dict[str, RunResult] = {}
 """In-process memo, keyed by the stable content hash (run_key)."""
 
-DEFAULT_BATCH_WIDTH = 8
-"""Upper bound on lockstep batch size formed by the sweep runner; keeps
-one pool worker from hoarding a whole workload's points while the rest
-idle, and bounds per-worker memory."""
-
 log = get_logger("experiments.runner")
 
 
 def _disk() -> ResultCache | None:
     return ResultCache() if cache_enabled() else None
-
-
-def batching_enabled() -> bool:
-    """Whether the sweep runner groups cache-miss jobs into batches.
-
-    On by default; ``REPRO_BATCH=0`` forces the scalar path (useful to
-    bisect a suspected batching problem, and what the equivalence tests
-    toggle).
-    """
-    raw = os.environ.get("REPRO_BATCH", "1").strip().lower()
-    return raw not in ("0", "false", "no")
-
-
-def batch_width() -> int:
-    """Maximum lockstep batch size (``REPRO_BATCH_WIDTH`` overrides)."""
-    raw = os.environ.get("REPRO_BATCH_WIDTH", "").strip()
-    return max(2, int(raw)) if raw else DEFAULT_BATCH_WIDTH
 
 
 def _peak_rss_kib() -> int | None:
@@ -95,24 +72,15 @@ def _unit_meta(started_ts: float, wall: float, instructions: int) -> dict:
     }
 
 
-def _simulate_unit(
-    workload: str, params_list: list[SimParams]
-) -> tuple[list[RunResult], dict]:
-    """Worker entry point: one work unit (top-level for pickling).
-
-    A unit is either one scalar simulation (``len(params_list) == 1``)
-    or one lockstep batch; either way it returns the results in input
-    order plus the unit's execution metadata.
-    """
+def _simulate_unit(workload: str, params: SimParams) -> tuple[RunResult, dict]:
+    """Worker entry point: one simulation plus its execution metadata
+    (top-level for pickling)."""
     started_ts = time.time()
     t0 = time.perf_counter()
-    if len(params_list) == 1:
-        results = [simulate(workload, params_list[0])]
-    else:
-        results = simulate_batch(workload, params_list)
+    result = simulate(workload, params)
     wall = time.perf_counter() - t0
-    total = sum(p.warmup_instructions + p.sim_instructions for p in params_list)
-    return results, _unit_meta(started_ts, wall, total)
+    n = params.warmup_instructions + params.sim_instructions
+    return result, _unit_meta(started_ts, wall, n)
 
 
 def _pool_worker_init(log_level: str) -> None:
@@ -208,11 +176,10 @@ def run_config(workload: str, params: SimParams) -> RunResult:
             _CACHE[key] = result
             return result
     CACHE_STATS.bump("sim_runs")
-    results, meta = _simulate_unit(workload, [params])
-    result = results[0]
+    result, meta = _simulate_unit(workload, params)
     _CACHE[key] = result
     if disk is not None:
-        disk.put(key, result, meta=_manifest_meta(meta, unit_size=1))
+        disk.put(key, result, meta=_manifest_meta(meta))
     return result
 
 
@@ -235,14 +202,12 @@ def _workload_name(workload) -> str:
     return workload if isinstance(workload, str) else workload.name
 
 
-def _manifest_meta(meta: dict, unit_size: int) -> dict:
+def _manifest_meta(meta: dict) -> dict:
     """Provenance-manifest fields derived from one unit's execution meta."""
     return {
         "wall_seconds": meta["wall_seconds"],
         "peak_rss_kib": meta["peak_rss_kib"],
         "worker_pid": meta["pid"],
-        "batched": unit_size > 1,
-        "unit_size": unit_size,
     }
 
 
@@ -264,13 +229,14 @@ def run_points(
     ledger only observes, so ledgered sweeps stay bit-identical to
     plain ones.  When a work unit raises, the remaining units still run
     (so the ledger reconciles) and the first failure re-raises after
-    the sweep drains.
+    the sweep drains.  That includes a workload whose trace fails to
+    materialise: its points fail, the rest of the sweep still runs.
     """
     jobs = repro_jobs() if jobs is None else max(1, jobs)
     disk = _disk()
     ledger = open_ledger(context=ledger_context)
     if ledger is not None:
-        ledger.begin(jobs=jobs, batching=batching_enabled(), batch_width=batch_width())
+        ledger.begin(jobs=jobs)
 
     resolved: dict[str, RunResult] = {}
     pending: dict[str, tuple[str, SimParams]] = {}
@@ -312,109 +278,91 @@ def run_points(
         return resolved
 
     CACHE_STATS.bump("sim_runs", len(pending))
-    batches, singles = _plan_batches(pending)
-    if batches:
-        log.debug(
-            "grouped %d point(s) into %d lockstep batch(es), %d scalar",
-            sum(len(b) for b in batches),
-            len(batches),
-            len(singles),
-        )
-    units: list[tuple[str, list[str]]] = [
-        (f"u{i}", group)
-        for i, group in enumerate(batches + [[key] for key in singles])
-    ]
+    units = [(f"u{i}", key) for i, key in enumerate(pending)]
     n_finished = 0
     n_failed = 0
     failure: BaseException | None = None
 
-    def _record_unit(unit_id: str, group: list[str], results, meta) -> None:
+    def _record_unit(unit_id: str, key: str, result: RunResult, meta: dict) -> None:
         nonlocal n_finished
+        workload, params = pending[key]
+        resolved[key] = result
+        _CACHE[key] = result
+        if disk is not None:
+            disk.put(key, result, meta=_manifest_meta(meta))
+        n_finished += 1
         if ledger is not None:
-            for key in group:
-                ledger.started(
-                    key,
-                    _workload_name(pending[key][0]),
-                    unit_id,
-                    meta["pid"],
-                    meta["started_ts"],
-                )
-        rate = (
-            meta["instructions"] / meta["wall_seconds"]
-            if meta["wall_seconds"] > 0
-            else 0.0
-        )
-        for key, result in zip(group, results):
-            workload, params = pending[key]
-            resolved[key] = result
-            _CACHE[key] = result
-            if disk is not None:
-                disk.put(key, result, meta=_manifest_meta(meta, unit_size=len(group)))
-            n_finished += 1
-            if ledger is not None:
-                ledger.finished(
-                    key,
-                    _workload_name(workload),
-                    params.label(),
-                    unit_id,
-                    len(group),
-                    meta["pid"],
-                    meta["wall_seconds"],
-                    params.warmup_instructions + params.sim_instructions,
-                    rate,
-                    result.ipc,
-                )
+            name = _workload_name(workload)
+            ledger.started(key, name, unit_id, meta["pid"], meta["started_ts"])
+            wall = meta["wall_seconds"]
+            ledger.finished(
+                key,
+                name,
+                params.label(),
+                unit_id,
+                meta["pid"],
+                wall,
+                meta["instructions"],
+                meta["instructions"] / wall if wall > 0 else 0.0,
+                result.ipc,
+            )
 
-    def _record_failure(unit_id: str, group: list[str], exc: BaseException) -> None:
+    def _record_failure(unit_id: str, key: str, exc: BaseException) -> None:
         nonlocal n_failed, failure
-        n_failed += len(group)
+        n_failed += 1
         if failure is None:
             failure = exc
         log.error("work unit %s failed: %s", unit_id, exc)
         if ledger is not None:
-            for key in group:
-                workload, params = pending[key]
-                ledger.failed(
-                    key, _workload_name(workload), params.label(), unit_id, str(exc)
-                )
+            workload, params = pending[key]
+            ledger.failed(key, _workload_name(workload), params.label(), unit_id, str(exc))
 
     if jobs > 1 and len(units) > 1:
         log.debug("fanning %d work unit(s) across %d worker(s)", len(units), jobs)
         # Pre-generate the needed traces so forked workers inherit warm
-        # lru_caches instead of regenerating per process.
-        for workload, params in pending.values():
-            make_trace(workload, params.warmup_instructions + params.sim_instructions)
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(units)),
-            initializer=_pool_worker_init,
-            initargs=(current_level_name(),),
-        ) as pool:
-            futures = {
-                pool.submit(
-                    _simulate_unit,
-                    pending[group[0]][0],
-                    [pending[k][1] for k in group],
-                ): (unit_id, group)
-                for unit_id, group in units
-            }
-            for future in as_completed(futures):
-                unit_id, group = futures[future]
+        # lru_caches instead of regenerating per process.  A trace that
+        # fails here fails the units that need it, as it would in them.
+        broken: dict[tuple[str, int], BaseException] = {}
+        runnable = []
+        for unit_id, key in units:
+            workload, params = pending[key]
+            n = params.warmup_instructions + params.sim_instructions
+            trace = (_workload_name(workload), n)
+            if trace not in broken:
                 try:
-                    results, meta = future.result()
+                    make_trace(workload, n)
                 except Exception as exc:
-                    _record_failure(unit_id, group, exc)
-                    continue
-                _record_unit(unit_id, group, results, meta)
+                    broken[trace] = exc
+            if trace in broken:
+                _record_failure(unit_id, key, broken[trace])
+            else:
+                runnable.append((unit_id, key))
+        if runnable:
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(runnable)),
+                initializer=_pool_worker_init,
+                initargs=(current_level_name(),),
+            ) as pool:
+                futures = {
+                    pool.submit(_simulate_unit, *pending[key]): (unit_id, key)
+                    for unit_id, key in runnable
+                }
+                for future in as_completed(futures):
+                    unit_id, key = futures[future]
+                    try:
+                        result, meta = future.result()
+                    except Exception as exc:
+                        _record_failure(unit_id, key, exc)
+                        continue
+                    _record_unit(unit_id, key, result, meta)
     else:
-        for unit_id, group in units:
+        for unit_id, key in units:
             try:
-                results, meta = _simulate_unit(
-                    pending[group[0]][0], [pending[k][1] for k in group]
-                )
+                result, meta = _simulate_unit(*pending[key])
             except Exception as exc:
-                _record_failure(unit_id, group, exc)
+                _record_failure(unit_id, key, exc)
                 continue
-            _record_unit(unit_id, group, results, meta)
+            _record_unit(unit_id, key, result, meta)
 
     if ledger is not None:
         ledger.end(
@@ -426,45 +374,6 @@ def run_points(
     if failure is not None:
         raise failure
     return resolved
-
-
-def _plan_batches(
-    pending: Mapping[str, tuple[str, SimParams]],
-) -> tuple[list[list[str]], list[str]]:
-    """Group pending run keys into lockstep batches plus scalar leftovers.
-
-    Points batch together when they share a workload *and* a trace
-    length (members of one batch must predict against the same oracle
-    stream; see :func:`repro.core.batch.simulate_batch`) and their
-    config is :func:`~repro.core.batch.batchable`.  Groups are chunked
-    to :func:`batch_width`; singletons and non-batchable configs run on
-    the scalar path unchanged.
-
-    Typed-kernel-eligible points (:func:`repro.core.typed.typed_eligible`)
-    also stay scalar: lockstep batching interleaves the interpreted
-    stepping kernels, and the typed scalar path is faster than the
-    batching win, so batching them would be a de-optimisation.
-    """
-    if not batching_enabled():
-        return [], list(pending)
-    singles: list[str] = []
-    groups: dict[tuple[str, int], list[str]] = {}
-    for key, (workload, params) in pending.items():
-        if typed_eligible(params) or not batchable(params)[0]:
-            singles.append(key)
-            continue
-        n = params.warmup_instructions + params.sim_instructions
-        groups.setdefault((workload, n), []).append(key)
-    width = batch_width()
-    batches: list[list[str]] = []
-    for keys in groups.values():
-        for i in range(0, len(keys), width):
-            chunk = keys[i : i + width]
-            if len(chunk) == 1:
-                singles.append(chunk[0])
-            else:
-                batches.append(chunk)
-    return batches, singles
 
 
 def run_matrix(

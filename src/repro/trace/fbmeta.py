@@ -16,8 +16,8 @@ The compiled layout is two-layer:
   faster than a numpy array element, and ``bisect`` works on tuples
   directly;
 * **numpy arrays** (the ``np_*`` attributes) carry the same data
-  column-wise for whole-array consumers: batch construction, the
-  functional-warmup footprint precompute, and analysis code that wants
+  column-wise for whole-array consumers: the functional-warmup
+  footprint precompute, and analysis code that wants
   one vectorised pass instead of a Python loop.
 
 :class:`StreamMeta` applies the same treatment to one *dynamic* oracle
@@ -236,7 +236,8 @@ def stream_meta(stream) -> StreamMeta:
 
     Compiled on first use and stashed on the stream object, so every
     consumer of one oracle stream -- the commit trainer, functional
-    warmup, batched runs sharing a trace -- shares one compilation.
+    warmup, every sweep point run on the same cached trace -- shares
+    one compilation.
     """
     meta = getattr(stream, "_stream_meta", None)
     if meta is None:

@@ -97,3 +97,21 @@ class TestTopLevelExports:
 
         params = SimParams()
         assert params.frontend.ftq_entries == 24
+
+
+class TestBenchmarkImports:
+    """Names the sweep benchmark's traced pass imports from the program."""
+
+    def test_batch_names_form_no_batch(self):
+        from repro.common.params import SimParams
+        from repro.core.batch import batch_width, batchable, simulate_batch
+        from repro.experiments import runner
+
+        params = SimParams(warmup_instructions=300, sim_instructions=1_000)
+        ok, reason = batchable(params)
+        assert not ok and reason
+        assert simulate_batch("srv_web", []) == []
+        with pytest.raises(ValueError, match="not batchable"):
+            simulate_batch("srv_web", [params])
+        assert runner.batch_width is batch_width
+        assert batch_width() >= 2

@@ -10,7 +10,6 @@ from repro.experiments.bench import (
     BENCH_SCHEMA_VERSION,
     append_history,
     bench_workload,
-    bench_workload_batched,
     compare_bench,
     run_bench,
     write_bench,
@@ -27,7 +26,7 @@ def fast():
 
 class TestBenchLibrary:
     def test_schema_version_bumped_for_geomean_and_mode(self):
-        # Schema 2: geomean headline, config.mode, optional batch_width.
+        # Schema 2: geomean headline and config.mode.
         assert BENCH_SCHEMA_VERSION == 2
 
     def test_bench_workload_fields(self):
@@ -41,37 +40,15 @@ class TestBenchLibrary:
         assert row["wall_seconds"] > 0
         assert row["instructions_per_second"] > MIN_INSTRS_PER_SEC
 
-    def test_bench_workload_batched_fields(self):
-        scalar = bench_workload("spc_fp", fast(), repeats=1)
-        row = bench_workload_batched("spc_fp", fast(), repeats=1, width=3)
-        # The rate counts every instance's instructions...
-        assert row["instructions"] == 3 * 3_500
-        assert row["batch_width"] == 3
-        assert row["instructions_per_second"] > MIN_INSTRS_PER_SEC
-        # ...and the reported run is bit-identical to a scalar run.
-        assert row["cycles"] == scalar["cycles"]
-        assert row["ipc"] == scalar["ipc"]
-        assert row["measured_instructions"] == scalar["measured_instructions"]
-
     def test_run_bench_payload(self):
         payload = run_bench(workloads=["spc_fp", "srv_web"], params=fast(), repeats=1)
         assert payload["schema"] == BENCH_SCHEMA_VERSION
         assert set(payload["workloads"]) == {"spc_fp", "srv_web"}
         assert payload["config"]["mode"] == "scalar"
-        assert "batch_width" not in payload["config"]
         agg = payload["aggregate"]
         assert agg["total_instructions"] == 7_000
         assert agg["instructions_per_second"] > MIN_INSTRS_PER_SEC
         assert agg["geomean_instructions_per_second"] > MIN_INSTRS_PER_SEC
-
-    def test_run_bench_batched_payload(self):
-        payload = run_bench(
-            workloads=["spc_fp"], params=fast(), repeats=1, batched=True, batch_width=2
-        )
-        assert payload["config"]["mode"] == "batched"
-        assert payload["config"]["batch_width"] == 2
-        assert payload["aggregate"]["total_instructions"] == 7_000
-        assert payload["aggregate"]["geomean_instructions_per_second"] > MIN_INSTRS_PER_SEC
 
     def test_write_bench_round_trips(self, tmp_path):
         payload = run_bench(workloads=["spc_fp"], params=fast(), repeats=1)
@@ -104,15 +81,6 @@ class TestBenchHistory:
         assert record["workloads"]["spc_fp"] == (
             payload["workloads"]["spc_fp"]["instructions_per_second"]
         )
-
-    def test_append_history_batched_records_width(self, tmp_path):
-        payload = run_bench(
-            workloads=["spc_fp"], params=fast(), repeats=1, batched=True, batch_width=2
-        )
-        path = append_history(payload, tmp_path / "h.jsonl")
-        record = json.loads(path.read_text())
-        assert record["mode"] == "batched"
-        assert record["config"]["batch_width"] == 2
 
 
 def _payload(rates: dict[str, float], aggregate: float) -> dict:
@@ -211,14 +179,6 @@ class TestBenchCli:
         out = tmp_path / "b.json"
         assert main(self._bench_args(out, "--fast-warmup")) == 0
         assert json.loads(out.read_text())["config"]["warmup_mode"] == "functional"
-
-    def test_batched_flag(self, tmp_path, capsys):
-        out = tmp_path / "b.json"
-        assert main(self._bench_args(out, "--batched", "--batch-width", "2")) == 0
-        payload = json.loads(out.read_text())
-        assert payload["config"]["mode"] == "batched"
-        assert payload["config"]["batch_width"] == 2
-        assert "(batched)" in capsys.readouterr().out
 
     def test_history_appended_by_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

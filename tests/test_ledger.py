@@ -10,6 +10,7 @@ Covers the sweep observability contract (docs/OBSERVABILITY.md):
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,8 @@ from repro.common.ledger import (
 from repro.common.params import SimParams
 from repro.experiments.cache import MANIFEST_SCHEMA_VERSION, ResultCache, run_key
 from repro.experiments.runner import clear_cache, run_config, run_points
+from repro.experiments.spec import expand, parse_spec
+from repro.trace.champsim import TraceFormatError
 
 WORKLOADS = ["spc_fp", "srv_web"]
 
@@ -110,10 +113,10 @@ class TestLifecycle:
 
         orig = runner._simulate_unit
 
-        def boom(workload, params_list):
+        def boom(workload, params):
             if workload == "srv_web":
                 raise RuntimeError("injected unit failure")
-            return orig(workload, params_list)
+            return orig(workload, params)
 
         monkeypatch.setattr(runner, "_simulate_unit", boom)
         with pytest.raises(RuntimeError, match="injected unit failure"):
@@ -162,6 +165,38 @@ class TestDeterminism:
             k: (r.instructions, r.cycles, r.stats.as_dict()) for k, r in parallel.items()
         }
 
+    def test_broken_trace_reconciles_in_parallel_as_in_serial(self, tmp_path, monkeypatch):
+        # The parallel runner materialises traces in the parent before
+        # fanning out; a trace that fails there must fail only its own
+        # points, exactly as it does inside the serial runner's units.
+        blob = (Path(__file__).parent / "data" / "golden.champsim.xz").read_bytes()
+        broken = tmp_path / "broken.champsim.xz"
+        broken.write_bytes(blob[: len(blob) // 2])
+        spec = parse_spec(
+            {
+                "sweep": "broken",
+                "workloads": ["srv_web", {"name": "broken", "trace": str(broken)}],
+                "base": {"warmup_instructions": 300, "sim_instructions": 1_500},
+                "matrix": {"frontend.ftq_entries": [2, 24]},
+            }
+        )
+        sweep_points = [(p.workload, p.params) for p in expand(spec)]
+        ledgers = {}
+        for jobs in (1, 2):
+            clear_cache()
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"cache{jobs}"))
+            monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / f"ledger{jobs}"))
+            with pytest.raises(TraceFormatError):
+                run_points(sweep_points, jobs=jobs)
+            ledgers[jobs] = read_ledger(sorted((tmp_path / f"ledger{jobs}").glob("*.jsonl"))[0])
+
+        serial, parallel = (summarize_ledger(ledgers[jobs]) for jobs in (1, 2))
+        assert parallel["complete"] and parallel["reconciled"]
+        assert parallel["totals"] == serial["totals"]
+        assert parallel["totals"]["finished"] == parallel["totals"]["failed"] == 2
+        assert invalid_sequences(ledgers[2]) == {}
+        assert strip_timing(ledgers[1]) == strip_timing(ledgers[2])
+
     def test_ledgered_results_bit_identical_to_plain(self, tmp_path, monkeypatch):
         ledgered = run_points(points(), jobs=1)
         clear_cache()
@@ -195,6 +230,50 @@ class TestSummaries:
             {"event": "finished", "key": "k1"},  # never started
         ]
         assert invalid_sequences(events) == {"k1": ["queued", "finished"]}
+
+    def test_summarizes_a_ledger_written_before_batching_was_removed(self, tmp_path):
+        # Older ledgers carry batching/batch_width in sweep_begin and
+        # unit_size in finished events, and a batch of two points
+        # shares one unit ("u0") and one wall-time measurement.
+        def event(name, ts, **fields):
+            return {"schema": 1, "sweep": "old", "event": name, "ts": ts, **fields}
+
+        def job(name, key, ts, **fields):
+            return event(name, ts, key=key, workload="srv_web", label=f"cfg-{key}", **fields)
+
+        def finished(key, unit, unit_size, pid, wall):
+            return job("finished", key, 103.0, unit=unit, unit_size=unit_size, pid=pid,
+                       wall_seconds=wall, instructions=1_000, instrs_per_sec=1_000.0, ipc=0.5)
+
+        events = [
+            event("sweep_begin", 100.0, jobs=2, batching=True, batch_width=8),
+            *(job("queued", key, 100.0) for key in "abcde"),
+            job("cache_hit", "e", 100.0, source="disk"),
+            job("started", "a", 101.0, unit="u0", pid=11),
+            job("started", "b", 101.0, unit="u0", pid=11),
+            finished("a", "u0", 2, 11, 2.0),
+            finished("b", "u0", 2, 11, 2.0),
+            job("started", "c", 101.0, unit="u1", pid=12),
+            finished("c", "u1", 1, 12, 1.0),
+            job("failed", "d", 102.0, unit="u2", error="boom"),
+            event("sweep_end", 104.0, queued=5, cache_hits=1, finished=3, failed=1),
+        ]
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
+        summary = summarize_ledger(read_ledger(path))
+
+        assert summary["totals"] == {
+            "queued": 5, "cache_hits": 1, "started": 3, "finished": 3, "failed": 1,
+        }
+        assert summary["reconciled"] and summary["complete"]
+        assert summary["config"] == {"jobs": 2}
+        assert summary["duration_seconds"] == 4.0
+        assert summary["busy_seconds"] == 3.0
+        assert summary["instrs_per_sec"] == 1_000.0
+        assert [u["jobs"] for u in summary["slowest_units"]] == [2, 1]
+        assert [w["units"] for w in summary["workers"]] == [1, 1]
+        assert "- pool: jobs=2" in render_summary_md(summary)
+        assert "finished=3" in render_progress(summary)
 
     def test_renderers_smoke(self, tmp_path):
         run_points(points(), jobs=1)
@@ -240,7 +319,7 @@ class TestManifests:
         assert m["workload"] == "spc_fp"
         assert m["ipc"] == result.ipc
         assert m["warmup_mode"] == "functional"  # sweep default resolution
-        assert m["batched"] is False and m["unit_size"] == 1
+        assert "batched" not in m and "unit_size" not in m
         assert m["wall_seconds"] > 0
         assert "worker_pid" in m and "host" in m and "repro_version" in m
 
@@ -252,18 +331,6 @@ class TestManifests:
         key = run_key("spc_fp", params)
         m = ResultCache().get_manifest(key)
         assert m is not None and m["key"] == key
-
-    def test_batched_sweep_manifest_marks_unit(self, tmp_path, monkeypatch):
-        # Pin the interpreted kernel: under "auto" these typed-eligible
-        # points skip batching (the typed scalar path is preferred) and
-        # no batched manifests would be written.
-        monkeypatch.setenv("REPRO_KERNEL", "interp")
-        run_points(points(), jobs=1)
-        cache = ResultCache()
-        batched = [m for m in cache.manifests() if m["batched"]]
-        # the two same-length spc_fp/srv_web pairs batch per workload
-        assert batched, "expected at least one lockstep-batched manifest"
-        assert all(m["unit_size"] > 1 for m in batched)
 
     def test_clear_removes_manifests(self):
         run_config("spc_fp", fast())

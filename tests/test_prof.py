@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.common.params import SimParams
-from repro.core.batch import batchable
 from repro.core.prof import StageProfiler
 from repro.core.schedule import kernel_source, profiled_points
 from repro.core.simulator import simulate
@@ -101,11 +100,6 @@ class TestKernelComposition:
     def test_profile_excludes_idle_skip(self):
         src = kernel_source(frozenset({"profile"}))
         assert "idle_for" not in src  # fast-forward stands aside
-
-    def test_profiler_not_batchable(self):
-        ok, reason = batchable(fast(), profiler=StageProfiler())
-        assert not ok
-        assert "profiler" in reason
 
 
 class TestProfileCli:

@@ -12,7 +12,7 @@ Covers the guarantees docs/SWEEPS.md advertises:
   started, and the final table is byte-identical to an uninterrupted
   run;
 * the differential sweep-equivalence harness (``repro check --sweep``)
-  end to end, and fuzz property 9's generator.
+  end to end, and fuzz property 8's generator.
 """
 
 from __future__ import annotations
@@ -444,7 +444,7 @@ class TestExampleSpecs:
 
 
 # ----------------------------------------------------------------------
-# Fuzz property 9
+# Fuzz property 8
 # ----------------------------------------------------------------------
 class TestFuzzProperty:
     def test_random_specs_satisfy_expansion_properties(self):
@@ -458,7 +458,7 @@ class TestFuzzProperty:
         assert a == b
 
     def test_run_trial_reports_property_nine(self, monkeypatch):
-        """A spec-expansion violation surfaces as fuzz property 9."""
+        """A spec-expansion violation surfaces as fuzz property 8."""
         from repro.check import build_trial
         from repro.check import sweepdiff
         from repro.check.fuzz import run_trial
