@@ -1,6 +1,6 @@
 """Correctness harness: differential checking, invariants, fuzzing.
 
-Three composable layers (see ``docs/TESTING.md``):
+Composable layers (see ``docs/TESTING.md``):
 
 * :mod:`repro.check.invariants` -- per-cycle structural invariant
   sweeps, enabled by ``SimParams.check_invariants`` (zero cost when
@@ -9,6 +9,9 @@ Three composable layers (see ``docs/TESTING.md``):
   regenerated functional-oracle stream against the cycle simulator's
   commit stream, branch by branch, plus architectural end-state
   agreement;
+* :mod:`repro.check.reference` -- the reference model of the cycle
+  loop: the component methods stepped cycle by cycle, which the
+  schedule-generated flat kernel must match bit for bit;
 * :mod:`repro.check.fuzz` -- a seeded random config/program fuzzer
   running both layers plus metamorphic properties, with greedy failure
   minimisation and JSON reproducers (:mod:`repro.check.reproducer`);
@@ -29,6 +32,7 @@ from repro.check.differential import (
 )
 from repro.check.fuzz import FuzzFailure, FuzzReport, FuzzTrial, build_trial, fuzz, replay
 from repro.check.invariants import InvariantChecker, InvariantViolation
+from repro.check.reference import reference_kernel, run_reference
 from repro.check.reproducer import load_reproducer, write_reproducer
 from repro.check.sweepdiff import (
     SweepEquivalenceReport,
@@ -54,7 +58,9 @@ __all__ = [
     "fuzz",
     "load_reproducer",
     "random_sweep_spec",
+    "reference_kernel",
     "replay",
     "run_differential",
+    "run_reference",
     "write_reproducer",
 ]

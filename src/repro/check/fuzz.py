@@ -13,10 +13,11 @@ simulator under the full correctness harness:
   oracle (:mod:`repro.check.differential`);
 * **checked == unchecked** -- a plain re-run must be bit-identical in
   every counter (the check layer only observes);
-* **typed == interp** -- when the plain run took the typed flat kernel
-  (:mod:`repro.core.typed`), a forced-interpreted re-run must be
-  bit-identical in every counter (the typed kernel is an optimisation,
-  never a semantic change);
+* **flat == reference** -- the plain run's schedule-generated flat
+  kernel must match the component methods stepped cycle by cycle
+  (:mod:`repro.check.reference`) in every counter, whatever features
+  the trial draws (the flat bodies are a lowering, never a semantic
+  change);
 * **traced == untraced** -- a telemetry re-run must match once the
   telemetry-only counters are stripped;
 * **functional == cycle warmup** -- measured IPC of the two warmup
@@ -61,6 +62,7 @@ from repro.trace.oracle import run_oracle
 from repro.trace.workloads import TRACE_SLACK
 
 from repro.check.differential import CommitRecorder, _end_state_problems, flatten_branches
+from repro.check.reference import run_reference
 from repro.check.reproducer import failure_to_dict
 
 WARMUP_IPC_TOLERANCE = 0.30
@@ -254,10 +256,8 @@ def _materialize(trial: FuzzTrial):
 
 
 def _run(params: SimParams, program, stream, telemetry=None):
-    """One simulation; returns (result, sim)."""
-    sim = Simulator(params, program, stream, telemetry=telemetry)
-    result = sim.run()
-    return result, sim
+    """One simulation's result."""
+    return Simulator(params, program, stream, telemetry=telemetry).run()
 
 
 def _run_worker(trial: FuzzTrial) -> tuple[int, int, dict]:
@@ -313,7 +313,7 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
     base_counters = result.stats.as_dict()
 
     # Property 2: the check layer only observes (checked == unchecked).
-    plain, plain_sim = _run(trial.params.replace(check_invariants=False), program, stream)
+    plain = _run(trial.params.replace(check_invariants=False), program, stream)
     if (
         plain.cycles != result.cycles
         or plain.instructions != result.instructions
@@ -326,35 +326,26 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
             f"{plain.cycles}, instructions {result.instructions} vs {plain.instructions}",
         )
 
-    # Property 7 (ordering: needs `plain` from property 2): when the
-    # plain run took the typed flat kernel, a forced-interpreted re-run
-    # must be bit-identical -- the typed backend is an optimisation,
-    # never a semantic change.  (When the trial draws a real prefetcher
-    # the plain run is already interpreted and this property is vacuous;
-    # the checked-vs-unchecked comparison above still crosses backends
-    # on typed-eligible trials, so both directions stay covered.)
-    if plain_sim.kernel_backend != "interp":
-        interp, _ = _run(
-            trial.params.replace(check_invariants=False, kernel="interp"),
-            program,
-            stream,
+    # Property 7 (ordering: needs `plain` from property 2): the flat
+    # kernel equals the reference model -- the component methods
+    # stepped cycle by cycle, no idle skip -- on every trial, prefetcher
+    # trials included.
+    ref = run_reference(Simulator(trial.params.replace(check_invariants=False), program, stream))
+    if (
+        ref.cycles != plain.cycles
+        or ref.instructions != plain.instructions
+        or ref.stats.as_dict() != plain.stats.as_dict()
+    ):
+        return FuzzFailure(
+            trial,
+            "flat_reference_identity",
+            f"flat kernel differs from the reference stepper: cycles {plain.cycles} "
+            f"vs {ref.cycles}, instructions {plain.instructions} vs {ref.instructions}",
         )
-        if (
-            interp.cycles != plain.cycles
-            or interp.instructions != plain.instructions
-            or interp.stats.as_dict() != plain.stats.as_dict()
-        ):
-            return FuzzFailure(
-                trial,
-                "typed_interp_identity",
-                f"typed run ({plain_sim.kernel_backend}) differs from interp: "
-                f"cycles {plain.cycles} vs {interp.cycles}, instructions "
-                f"{plain.instructions} vs {interp.instructions}",
-            )
 
     # Property 3: telemetry only observes (traced == untraced).
     tel = Telemetry(TelemetryConfig(interval_stride=2_000, ring_capacity=256))
-    traced, _ = _run(
+    traced = _run(
         trial.params.replace(check_invariants=False), program, stream, telemetry=tel
     )
     if traced.cycles != result.cycles or _strip_telemetry(
@@ -369,7 +360,7 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
     # Property 4: functional and cycle warmup agree on measured IPC.
     if trial.params.warmup_instructions >= 1500:
         other_mode = "cycle" if trial.params.warmup_mode == "functional" else "functional"
-        flipped, _ = _run(
+        flipped = _run(
             trial.params.replace(check_invariants=False, warmup_mode=other_mode),
             program,
             stream,
@@ -390,12 +381,12 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
         oracle_pred = replace(
             trial.params.branch, perfect_direction=True, perfect_indirect=True
         )
-        finite, _ = _run(
+        finite = _run(
             trial.params.replace(check_invariants=False, branch=oracle_pred),
             program,
             stream,
         )
-        perfect, _ = _run(
+        perfect = _run(
             trial.params.replace(
                 check_invariants=False,
                 branch=replace(oracle_pred, perfect_btb=True, btb_l1_entries=0),

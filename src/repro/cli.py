@@ -10,7 +10,7 @@ Twelve subcommands::
     python -m repro trace --workload ...  # telemetry run -> JSONL + report
     python -m repro profile --workload .. # per-stage self-time profile
     python -m repro check [--fuzz N]      # correctness harness (docs/TESTING.md)
-    python -m repro kernel [--dump]       # cycle-kernel backend resolution/source
+    python -m repro kernel [--dump]       # cycle-kernel composition / generated source
     python -m repro cache info|clear      # persistent result cache
     python -m repro sweep spec.yaml       # declarative sweep (--shard k/N, --resume)
     python -m repro sweep-report [LEDGER] # sweep progress/summary from a run ledger
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 from pathlib import Path
 
 from repro.common.log import configure as configure_logging
@@ -90,12 +89,6 @@ def _add_sim_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--max-taken", type=int, default=1)
     cmd.add_argument("--perfect-btb", action="store_true")
     cmd.add_argument("--perfect-direction", action="store_true")
-    cmd.add_argument(
-        "--kernel",
-        choices=["auto", "typed", "interp"],
-        default="auto",
-        help="cycle-kernel backend (mirrors REPRO_KERNEL; default auto)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,12 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast-warmup",
         action="store_true",
         help="use functional fast-forward warmup (warmup_mode=functional)",
-    )
-    bench.add_argument(
-        "--kernel",
-        choices=["auto", "typed", "interp"],
-        default="auto",
-        help="cycle-kernel backend to benchmark (mirrors REPRO_KERNEL)",
     )
     bench.add_argument(
         "--no-history",
@@ -371,19 +358,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     kernel = sub.add_parser(
-        "kernel", help="show cycle-kernel backend resolution; dump generated source"
+        "kernel", help="show the cycle kernel's schedule points; dump its generated source"
     )
     kernel.add_argument(
         "--dump",
         action="store_true",
-        help="print the schedule-generated interpreted kernel source",
+        help="print the schedule-generated flat kernel source",
     )
     kernel.add_argument(
         "--features",
         default="",
         metavar="F1,F2",
-        help="feature flags for --dump (subset of telemetry,checker,"
-        "prefetcher,profile; default: the uninstrumented kernel)",
+        help="feature flags (subset of telemetry,checker,prefetcher,profile; "
+        "default: the uninstrumented kernel)",
     )
 
     cache = sub.add_parser("cache", help="manage the persistent result cache")
@@ -415,7 +402,6 @@ def _params_from_args(args: argparse.Namespace) -> SimParams:
         warmup_instructions=args.warmup,
         sim_instructions=args.instructions,
         prefetcher=args.prefetcher,
-        kernel=getattr(args, "kernel", "auto"),
     )
     params = params.with_frontend(
         ftq_entries=args.ftq,
@@ -507,11 +493,10 @@ def _write_stats_json(result, output: str) -> Path:
     Besides the counters, the payload records which code produced them
     (``schema`` = :data:`repro.experiments.cache.SIM_SCHEMA_VERSION`)
     and the *resolved* run modes -- the ``run`` path resolves
-    ``warmup_mode="auto"`` to cycle-accurate warmup and always runs the
-    scalar kernel -- so a stats dump is comparable across PRs without
-    guessing which defaults were in force.
+    ``warmup_mode="auto"`` to cycle-accurate warmup -- so a stats dump
+    is comparable across PRs without guessing which defaults were in
+    force.
     """
-    from repro.core.typed import kernel_backend_for_params, resolve_kernel_mode
     from repro.experiments.cache import SIM_SCHEMA_VERSION
 
     path = Path(output)
@@ -519,7 +504,6 @@ def _write_stats_json(result, output: str) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
     params = result.params
     warmup_mode = params.warmup_mode
-    kernel = resolve_kernel_mode(params.kernel)
     payload = {
         "schema": SIM_SCHEMA_VERSION,
         "workload": result.workload,
@@ -530,8 +514,6 @@ def _write_stats_json(result, output: str) -> Path:
         "modes": {
             "warmup_mode": "cycle" if warmup_mode == "auto" else warmup_mode,
             "check_invariants": params.check_invariants,
-            "kernel": kernel,
-            "kernel_backend": kernel_backend_for_params(params.replace(kernel=kernel)),
         },
         "counters": {name: result.stats.get(name) for name in result.stats.names()},
     }
@@ -708,7 +690,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         params=params,
         repeats=args.repeats,
         fast_warmup=args.fast_warmup,
-        kernel=args.kernel,
     )
     path = write_bench(payload, args.output or _BENCH_OUTPUT)
     for name, row in payload["workloads"].items():
@@ -718,10 +699,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     agg = payload["aggregate"]
     mode = payload["config"]["mode"]
-    backend = payload["config"].get("kernel_backend", "interp")
     print(
         f"{'GEOMEAN':14s} {agg['geomean_instructions_per_second']:>12,.0f} "
-        f"instrs/sec ({mode}) kernel={backend}"
+        f"instrs/sec ({mode})"
     )
     print(f"{'TOTAL':14s} {agg['instructions_per_second']:>12,.0f} instrs/sec")
     print(f"wrote {path}")
@@ -784,15 +764,7 @@ def _bench_trend(args: argparse.Namespace) -> int:
 
 
 def _bench_compare(payload: dict, baseline_path: str) -> int:
-    """Print the --baseline comparison; non-zero exit on regression.
-
-    A typed-kernel run is never compared against an interp baseline
-    silently: when the two payloads ran different kernel backends the
-    deltas are still printed (labelled), but the regression gate is
-    skipped with a loud warning -- a backend switch is a deliberate
-    change, not a regression, and gating across it would either mask
-    real slowdowns or fail every run after the switch.
-    """
+    """Print the --baseline comparison; non-zero exit on regression."""
     from repro.experiments.bench import compare_bench
 
     try:
@@ -801,26 +773,13 @@ def _bench_compare(payload: dict, baseline_path: str) -> int:
         log.error("cannot read baseline %s: %s", baseline_path, exc)
         return 2
     cmp = compare_bench(payload, baseline)
-    backends = cmp["kernel_backend"]
-    print(
-        f"vs baseline {baseline_path} "
-        f"(kernel: {backends['current']} vs {backends['baseline']}):"
-    )
+    print(f"vs baseline {baseline_path}:")
     for name, delta in cmp["workloads"].items():
         shown = f"{100.0 * delta:+.1f}%" if delta is not None else "n/a"
         print(f"  {name:14s} {shown}")
     agg = cmp["aggregate"]
     shown = f"{100.0 * agg:+.1f}%" if agg is not None else "n/a"
     print(f"  {'GEOMEAN':14s} {shown}")
-    if cmp["backend_mismatch"]:
-        log.warning(
-            "comparison crosses kernel backends (%s vs %s) -- "
-            "regression gate skipped; re-bench the baseline with the "
-            "current backend for a gated comparison",
-            backends["current"],
-            backends["baseline"],
-        )
-        return 0
     if cmp["regressed"]:
         log.error(
             "throughput regressed more than %.0f%% vs baseline on: %s",
@@ -1180,45 +1139,28 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    """Show cycle-kernel backend resolution; optionally dump source.
+    """Show the cycle kernel composed for a feature set; optionally dump it.
 
-    The resolution summary answers "which kernel would a default run
-    use on this host?" -- the ``auto`` mode resolved through
-    ``REPRO_KERNEL``, the concrete typed backend (compiled ``.so``
-    shadowing :mod:`repro.core.typedkern` vs its pure-Python form),
-    and the module file that answer came from.  ``--dump`` prints the
-    schedule-generated *interpreted* kernel source for a feature set;
-    the typed kernel is hand-flattened (not generated), so its source
-    is the :mod:`repro.core.typedkern` file itself.
+    Lists the schedule points :func:`repro.core.schedule.build_kernel`
+    composes for ``--features`` (default: the uninstrumented kernel);
+    ``--dump`` prints the generated flat kernel source itself.
     """
-    from repro.core import typedkern
-    from repro.core.schedule import FEATURES, kernel_source
-    from repro.core.typed import backend_name, resolve_kernel_mode
+    from repro.core.schedule import FEATURES, active_points, kernel_source
 
-    resolved = resolve_kernel_mode("auto")
-    backend = backend_name() if resolved != "interp" else "interp"
-    env = os.environ.get("REPRO_KERNEL", "")
-    print(f"auto resolves to: {resolved} (REPRO_KERNEL={env!r})")
-    print(f"typed backend:    {backend_name()}")
-    print(f"typedkern module: {typedkern.__file__}")
-    print(
-        f"default run uses: {backend} "
-        "(feature-empty configs only; featured configs fall back to interp)"
-    )
-    if args.dump:
-        features = frozenset(
-            f.strip() for f in args.features.split(",") if f.strip()
+    features = frozenset(f.strip() for f in args.features.split(",") if f.strip())
+    unknown = features.difference(FEATURES)
+    if unknown:
+        log.error(
+            "unknown feature(s) %s; known: %s",
+            ", ".join(sorted(unknown)),
+            ", ".join(FEATURES),
         )
-        unknown = features.difference(FEATURES)
-        if unknown:
-            log.error(
-                "unknown feature(s) %s; known: %s",
-                ", ".join(sorted(unknown)),
-                ", ".join(FEATURES),
-            )
-            return 2
-        shown = ", ".join(sorted(features)) if features else "none"
-        print(f"\n# interpreted kernel source (features: {shown})")
+        return 2
+    shown = ", ".join(sorted(features)) if features else "none"
+    points = " -> ".join(p.name for p in active_points(features))
+    print(f"cycle kernel (features: {shown}): {points}")
+    if args.dump:
+        print(f"\n# flat kernel source (features: {shown})")
         print(kernel_source(features))
     return 0
 

@@ -249,6 +249,9 @@ class Telemetry:
             # hub hooks each one rather than hand-listing them here.
             for component in sim.observables.values():
                 component.telemetry = self
+            # The flat cycle kernel inlines the hot component methods
+            # and emits their events through this hub instead.
+            sim.event_hub = self
 
     def event(self, kind: str, **payload) -> None:
         """Record one structured event at the current cycle."""

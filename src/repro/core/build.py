@@ -35,7 +35,9 @@ Hook points a built simulator exposes:
 * ``sim.trainer.add_branch_listener`` -- the committed-branch stream
   hook point (prefetcher training, the differential recorder).
 * ``sim.observables`` -- the named components a telemetry hub
-  instruments (``Telemetry.attach`` sets their ``telemetry`` slots).
+  instruments (``Telemetry.attach`` sets their ``telemetry`` slots, and
+  ``sim.event_hub`` for the events the flat cycle kernel emits in
+  their place).
 """
 
 from __future__ import annotations
@@ -356,6 +358,7 @@ class SimBuilder:
             sim.observables["prefetcher"] = sim.prefetcher
 
         sim.telemetry = telemetry
+        sim.event_hub = None
         if telemetry is not None:
             telemetry.attach(sim)
         sim.checker = None

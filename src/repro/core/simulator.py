@@ -10,14 +10,17 @@ dedicated prefetcher) is resolved through its registry, and optional
 subsystems attach through declared hook points (``sim.hooks``,
 ``trainer.add_branch_listener``, ``sim.observables``).
 
-The per-cycle stage order lives in one place --
-:data:`repro.core.schedule.CYCLE_SCHEDULE` -- from which
+The per-cycle loop lives in one place --
+:data:`repro.core.schedule.CYCLE_SCHEDULE`, whose flat stage bodies
+lower the component methods -- from which
 :func:`repro.core.schedule.build_kernel` specializes the cycle loop for
 this simulator's active features (telemetry / invariant checker /
-prefetcher).  Inactive hooks are not composed in at all, so the
-uninstrumented path keeps bound-locals tight-loop speed, and because
+prefetcher / profiler).  Inactive hooks are not composed in at all, so
+every feature set keeps bound-locals tight-loop speed, and because
 observers only *observe*, traced and checked runs stay bit-identical to
-plain runs (pinned by the fuzzer's bit-identity properties).
+plain runs (pinned by the fuzzer's bit-identity properties).  The
+component methods remain the reference model
+(:mod:`repro.check.reference`).
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from repro.common.params import SimParams
 from repro.common.stats import StatSet
 from repro.core.build import SimBuilder, resolve_btb_variant
 from repro.core.metrics import RunResult
-from repro.core.schedule import build_kernel
-from repro.core.typed import backend_name, resolve_kernel_mode, supported, typed_kernel
+from repro.core.schedule import KERNEL_BACKEND, build_kernel
 from repro.core.warmup import functional_warmup
 from repro.trace.cfg import Program
 from repro.trace.oracle import OracleStream
@@ -40,6 +42,9 @@ _CYCLE_GUARD_FACTOR = 400
 
 class Simulator:
     """One simulated core bound to one program + oracle stream."""
+
+    kernel_backend = KERNEL_BACKEND
+    """The label recorded for the cycle kernel :meth:`run` executes."""
 
     def __init__(
         self,
@@ -70,10 +75,6 @@ class Simulator:
         self.profiler = profiler
         """Optional :class:`repro.core.prof.StageProfiler`; activates the
         ``profile`` kernel feature (per-stage self-time accumulation)."""
-        self.kernel_backend = "interp"
-        """Which cycle-loop backend the last :meth:`run` selected:
-        ``typed-compiled`` / ``typed-python`` / ``interp``.  Stays
-        ``interp`` until a run decides otherwise."""
         SimBuilder(params, program, stream).wire(self, telemetry)
         if profiler is not None:
             profiler.bind_to(self)
@@ -117,61 +118,6 @@ class Simulator:
             cycle + self.params.core.mispredict_penalty,
             reason=f"flush:{fault.kind_label}",
         )
-
-    # ------------------------------------------------------------------
-    # Fetch-bandwidth drain (idle_skip extension)
-    # ------------------------------------------------------------------
-    def _drain_to(self, cycle: int, wake: int, target: int, warmup: int, head) -> int:
-        """Retire-only drain of a fetch-bandwidth-bound stretch.
-
-        Called from the ``idle_skip`` hook when every frontend stage is
-        a provable no-op until ``wake`` (see the hook's wake
-        computation in :mod:`repro.core.schedule`) but the decode queue
-        still holds instructions -- all fault-free, so no flush can
-        occur and no new chunks can arrive.  Runs the backend
-        cycle-by-cycle up to ``wake - 1``, replicating exactly what the
-        full loop would have done each cycle: retire (with per-cycle
-        starvation accounting and take-splitting inside
-        :meth:`Backend.cycle`), the measurement boundary, and fetch's
-        ``starved_while_head`` flag on the non-consumable head.  Once
-        the queue empties mid-drain the remaining cycles collapse to a
-        bulk starvation bump, matching the plain idle skip that would
-        have fired at that cycle with the identical wake.  Returns the
-        cycle the caller's loop variable resumes from (the cycle the
-        target was reached, or ``wake - 1``).
-        """
-        backend = self.backend
-        backend_cycle = backend.cycle
-        dq = self.decode_queue
-        chunks = dq._chunks
-        capacity = dq.capacity
-        fetch_width = self.fetch._fetch_width
-        end = wake - 1
-        c = cycle
-        while c < end:
-            c += 1
-            backend_cycle(c)
-            if not self._measuring and backend.committed >= warmup:
-                self.cycle = c
-                self._begin_measurement()
-            # Fetch's starved flag: only when fetch would have run (free
-            # decode slots) and found too few banked instructions.
-            if (
-                head is not None
-                and dq.total_instrs < capacity
-                and dq.total_instrs < fetch_width
-            ):
-                head.starved_while_head = True
-            if backend.committed >= target:
-                return c
-            if not chunks:
-                rem = end - c
-                if rem > 0:
-                    backend.stats.bump("starvation_cycles", rem)
-                    if head is not None:
-                        head.starved_while_head = True
-                return end
-        return end
 
     # ------------------------------------------------------------------
     # Measurement window
@@ -239,20 +185,24 @@ class Simulator:
         window architecturally (:func:`repro.core.warmup.functional_warmup`)
         and starts the cycle-accurate loop at the measurement boundary;
         ``"cycle"`` (and ``"auto"``, for this direct API) warms through
-        the full pipeline as before.
+        the full pipeline as before.  The cycle loop is the
+        schedule-generated flat kernel for this simulator's
+        :meth:`active_features`.
+        """
+        kernel = build_kernel(self.active_features())
+        kernel(self, *self.start_run(workload_name))
+        return self.finish_run(workload_name)
 
-        The cycle loop is either the flat typed kernel
-        (:mod:`repro.core.typedkern`, bit-identical by contract) or the
-        schedule-specialized interpreted kernel for this simulator's
-        :meth:`active_features` -- selected by ``params.kernel`` /
-        ``REPRO_KERNEL`` and recorded in :attr:`kernel_backend`.
+    def start_run(self, workload_name: str = "") -> tuple[int, int, int]:
+        """First phase of :meth:`run`: functional warmup when configured.
+
+        Returns the cycle kernel's ``(target, warmup, guard)`` arguments.
         """
         params = self.params
         if workload_name:
             self.workload_name = workload_name
         target = params.warmup_instructions + params.sim_instructions
         warmup = params.warmup_instructions
-        guard = _CYCLE_GUARD_FACTOR * target + 100_000
         if (
             params.warmup_mode == "functional"
             and warmup > 0
@@ -261,17 +211,13 @@ class Simulator:
         ):
             functional_warmup(self)
             self._begin_measurement()
+        return target, warmup, _CYCLE_GUARD_FACTOR * target + 100_000
 
-        if resolve_kernel_mode(params.kernel) != "interp" and supported(self)[0]:
-            self.kernel_backend = backend_name()
-            typed_kernel(self, target, warmup, guard)
-        else:
-            self.kernel_backend = "interp"
-            kernel = build_kernel(self.active_features())
-            kernel(self, target, warmup, guard)
-
+    def finish_run(self, workload_name: str = "") -> RunResult:
+        """Last phase of :meth:`run`: build the result, run the end-of-run observers."""
         if not self._measuring:
             self._begin_measurement()
+        params = self.params
         instructions = self.backend.committed - self._measure_start_committed
         cycles = self.cycle - self._measure_start_cycle
         result = RunResult(

@@ -35,7 +35,7 @@ from pathlib import Path
 from repro.common.params import SimParams
 from repro.common.stats import geomean
 from repro.core.simulator import Simulator
-from repro.core.typed import kernel_backend_for_params, resolve_kernel_mode
+from repro.core.schedule import KERNEL_BACKEND
 from repro.experiments.configs import QUICK_WORKLOADS, default_params
 from repro.trace.workloads import make_trace
 
@@ -77,7 +77,6 @@ def run_bench(
     params: SimParams | None = None,
     repeats: int = 1,
     fast_warmup: bool = False,
-    kernel: str | None = None,
 ) -> dict:
     """Benchmark the cycle loop; returns the BENCH_core payload.
 
@@ -85,20 +84,14 @@ def run_bench(
     (``repro bench --fast-warmup``); the reported rate still counts the
     warmup instructions -- they are simulated, just architecturally --
     so the speedup from skipping cycle-accurate warmup shows up in
-    ``instructions_per_second`` directly.  ``kernel`` overrides the
-    cycle-kernel mode (mirrors ``REPRO_KERNEL``); the *resolved* mode and the concrete backend the
-    scalar runs select (``typed-compiled`` / ``typed-python`` /
-    ``interp``) are recorded in the payload's config, so benchmark
-    numbers from different backends are never mistaken for the same
-    series.
+    ``instructions_per_second`` directly.  The payload's config records
+    the kernel label (:data:`repro.core.schedule.KERNEL_BACKEND`), which
+    keeps the history one series with the runs recorded before it.
     """
     workloads = workloads or list(QUICK_WORKLOADS)
     params = params or default_params()
     if fast_warmup:
         params = params.replace(warmup_mode="functional")
-    if kernel is not None:
-        params = params.replace(kernel=kernel)
-    params = params.replace(kernel=resolve_kernel_mode(params.kernel))
     per_workload = {wl: bench_workload(wl, params, repeats=repeats) for wl in workloads}
     total_instrs = sum(w["instructions"] for w in per_workload.values())
     total_wall = sum(w["wall_seconds"] for w in per_workload.values())
@@ -107,8 +100,7 @@ def run_bench(
         "warmup_instructions": params.warmup_instructions,
         "sim_instructions": params.sim_instructions,
         "warmup_mode": params.warmup_mode,
-        "kernel": params.kernel,
-        "kernel_backend": kernel_backend_for_params(params),
+        "kernel_backend": KERNEL_BACKEND,
         "label": params.label(),
         "repeats": repeats,
         "workloads": workloads,
@@ -166,7 +158,6 @@ def append_history(payload: dict, path: str | Path = HISTORY_FILE) -> Path:
                 "warmup_instructions",
                 "sim_instructions",
                 "warmup_mode",
-                "kernel",
                 "kernel_backend",
                 "repeats",
             )
@@ -212,10 +203,10 @@ def machine_key(record: dict) -> str:
     """Grouping key for trend rows: machine + python + mode + backend.
 
     Rates are only comparable within one machine, bench mode *and*
-    cycle-kernel backend; the history file may interleave entries from
-    several (laptops, CI runners, typed vs forced-interp runs), so the
-    trend table groups by this key.  Records predating the backend
-    field were all interpreted runs.
+    cycle-kernel label; the history file may interleave entries from
+    several (laptops, CI runners, and kernels that earlier versions let
+    a run choose), so the trend table groups by this key.  Records
+    predating the label field all came from the interpreted kernel.
     """
     plat = record.get("platform", {})
     return (
@@ -294,15 +285,6 @@ REGRESSION_THRESHOLD = 0.20
 """Per-workload slowdown beyond this fraction fails ``bench --baseline``."""
 
 
-def payload_kernel_backend(payload: dict) -> str:
-    """The cycle-kernel backend a BENCH payload's rates came from.
-
-    Payloads predating the field (schema <= 2 without ``kernel_backend``)
-    were all produced by the interpreted kernel.
-    """
-    return payload.get("config", {}).get("kernel_backend", "interp")
-
-
 def _headline_rate(payload: dict) -> float:
     """The payload's headline aggregate rate (geomean, schema 2).
 
@@ -334,14 +316,6 @@ def compare_bench(
     payload are listed but not compared.  Comparisons are only
     meaningful between runs on the same machine with the same windows
     and mode; the caller is trusted on that.
-
-    Cross-backend comparisons are flagged, never silent: when the two
-    payloads' cycle-kernel backends differ (``typed-compiled`` /
-    ``typed-python`` / ``interp``; see :func:`payload_kernel_backend`)
-    the deltas measure the backend change, not a code regression, so
-    ``backend_mismatch`` is set and the regression gate stands down
-    (``regressed`` stays False) -- the caller reports the mismatch
-    loudly instead of failing or passing on a meaningless ratio.
     """
 
     def _rate(payload: dict, workload: str) -> float | None:
@@ -356,9 +330,6 @@ def compare_bench(
         cur, base = _rate(current, name), _rate(baseline, name)
         deltas[name] = (cur - base) / base if cur and base else None
 
-    cur_backend = payload_kernel_backend(current)
-    base_backend = payload_kernel_backend(baseline)
-    backend_mismatch = cur_backend != base_backend
     regressed_workloads = sorted(
         name for name, d in deltas.items() if d is not None and d < -threshold
     )
@@ -369,8 +340,6 @@ def compare_bench(
         "workloads": deltas,
         "aggregate": agg_delta,
         "threshold": threshold,
-        "kernel_backend": {"current": cur_backend, "baseline": base_backend},
-        "backend_mismatch": backend_mismatch,
         "regressed_workloads": regressed_workloads,
-        "regressed": bool(regressed_workloads) and not backend_mismatch,
+        "regressed": bool(regressed_workloads),
     }

@@ -39,11 +39,11 @@ from repro import __version__ as repro_version
 from repro.common.params import SimParams
 from repro.common.stats import StatSet
 from repro.core.metrics import RunResult
-from repro.core.typed import kernel_backend_for_params
+from repro.core.schedule import KERNEL_BACKEND
 from repro.trace.source import WorkloadSource, resolve_workload
 from repro.trace.workloads import WorkloadSpec
 
-SIM_SCHEMA_VERSION = 6
+SIM_SCHEMA_VERSION = 7
 """Bump when simulator/trace/predictor changes can alter RunResults.
 
 v2: the sweep runner defaults ``SimParams.warmup_mode`` to
@@ -69,6 +69,10 @@ v6: the workload-source layer -- workload fingerprints now derive from
 each source's ``fingerprint_data()`` (synthetic: spec + seeds;
 ChampSim traces: file content digest + decoder version), changing
 every workload fingerprint at once.
+
+v7: ``SimParams`` lost ``kernel`` (one flat cycle kernel runs every
+feature set), changing parameter fingerprints; ``REPRO_KERNEL`` is
+gone.
 """
 
 _ENV_DIR = "REPRO_CACHE_DIR"
@@ -216,8 +220,7 @@ def build_manifest(key: str, result: RunResult, meta: dict | None = None) -> dic
         "params_fingerprint": params_fingerprint(params),
         "warmup_mode": params.warmup_mode,
         "check_invariants": params.check_invariants,
-        "kernel": params.kernel,
-        "kernel_backend": kernel_backend_for_params(params),
+        "kernel_backend": KERNEL_BACKEND,
         "prefetcher": params.prefetcher,
         "warmup_instructions": params.warmup_instructions,
         "sim_instructions": params.sim_instructions,

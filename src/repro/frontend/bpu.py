@@ -17,10 +17,10 @@ while the BPU is on the correct path; on the wrong path they fall back
 to 'not taken' / no target, which is the only meaningful semantics for
 an oracle.
 
-Stage interface: the ``predict`` stage of
-:data:`repro.core.schedule.CYCLE_SCHEDULE` binds ``cycle(cycle, ftq)``
-once before the loop starts (conformance pinned by
-``validate_stage_interfaces``).
+Reference model: :meth:`BranchPredictionUnit.cycle` is what the
+``predict`` stage of :data:`repro.core.schedule.CYCLE_SCHEDULE` lowers
+into flat code; the flat body must stay bit-identical to it (pinned
+against :mod:`repro.check.reference` by ``tests/test_kernel.py``).
 """
 
 from __future__ import annotations

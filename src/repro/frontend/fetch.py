@@ -26,10 +26,12 @@ Either way the FTQ is flushed behind the entry, the history is fixed,
 and prediction re-steers from the branch target immediately instead of
 waiting for the backend to flush the pipeline.
 
-Stage interface: :data:`repro.core.schedule.CYCLE_SCHEDULE` binds
-``complete_fills(fills, cycle)`` (the ``memory_fill`` stage),
-``fetch_stage(cycle)`` and ``probe_stage(cycle)`` once before the loop
-starts (conformance pinned by ``validate_stage_interfaces``).
+Reference model: ``complete_fills`` (part of the ``memory_fill``
+stage), ``fetch_stage`` and ``probe_stage`` are what those stages of
+:data:`repro.core.schedule.CYCLE_SCHEDULE` lower into flat code; the
+flat bodies must stay bit-identical to them (pinned against
+:mod:`repro.check.reference` by ``tests/test_kernel.py``).  PFC
+pre-decode (``_predecode_checks``) stays a call from the flat kernel.
 """
 
 from __future__ import annotations

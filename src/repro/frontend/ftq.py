@@ -10,9 +10,10 @@ snapshots, oracle cursor, miss-classification flags), not hardware
 state; :func:`entry_storage_bits` in :mod:`repro.core.metrics` computes
 the real 195-byte cost from the architectural fields alone.
 
-Stage interface: the ``predict`` stage of
-:data:`repro.core.schedule.CYCLE_SCHEDULE` binds the FTQ object itself
-(it is passed to ``bpu.cycle`` every cycle).
+The flat cycle kernel (:mod:`repro.core.schedule`) works on the
+entry list directly: its ``predict`` body appends, its ``fetch`` body
+pops the head, and both emit the ``ftq_push``/``ftq_pop`` events that
+:meth:`FTQ.push` and :meth:`FTQ.pop_head` emit here.
 """
 
 from __future__ import annotations

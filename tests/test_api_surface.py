@@ -53,6 +53,8 @@ MODULES = [
     "repro.core.metrics",
     "repro.core.schedule",
     "repro.core.simulator",
+    "repro.core.typed",
+    "repro.check.reference",
     "repro.experiments.analysis",
     "repro.experiments.bench",
     "repro.experiments.cache",
@@ -115,3 +117,22 @@ class TestBenchmarkImports:
             simulate_batch("srv_web", [params])
         assert runner.batch_width is batch_width
         assert batch_width() >= 2
+
+    def test_kernel_names_hold_the_one_kernel(self):
+        from repro.common.params import SimParams
+        from repro.core.schedule import CYCLE_SCHEDULE
+        from repro.core.simulator import Simulator
+        from repro.core.typed import backend_name, typed_eligible
+        from repro.experiments import runner
+
+        params = SimParams(warmup_instructions=300, sim_instructions=1_000)
+        assert backend_name() == Simulator.kernel_backend == "typed-python"
+        assert runner.resolve_kernel_mode(params) is params
+        # typed_eligible: "no observer feature", so the traced pass
+        # profiles exactly the prefetcher and checked configs.
+        assert typed_eligible(params)
+        assert typed_eligible(params.replace(prefetcher="perfect"))
+        assert not typed_eligible(params.replace(prefetcher="eip27"))
+        assert not typed_eligible(params.replace(check_invariants=True))
+        stages = {"predict", "probe", "fetch", "backend_retire", "memory_fill", "prefetch"}
+        assert stages <= {p.name for p in CYCLE_SCHEDULE}

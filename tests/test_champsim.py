@@ -3,7 +3,8 @@
 Covers the decode pipeline (repro.trace.champsim), the source registry
 (repro.trace.source), and the end-to-end contract: a trace-backed
 workload runs through simulate/sweep/check exactly like a synthetic
-one, bit-identically across kernels and execution strategies.
+one, bit-identically against the reference model and across execution
+strategies.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.check.reference import run_reference
 from repro.common.params import SimParams
-from repro.core.simulator import simulate
+from repro.core.simulator import Simulator, simulate
 from repro.trace.champsim import (
     CHAMPSIM_DECODER_VERSION,
     RECORD_BYTES,
@@ -37,6 +39,7 @@ from repro.trace.source import (
     trace_name_for_path,
     unregister_workload,
 )
+from repro.trace.workloads import make_trace
 from tests.conftest import tiny_spec
 
 GOLDEN = Path(__file__).parent / "data" / "golden.champsim.xz"
@@ -315,12 +318,14 @@ class TestGoldenFixture:
         assert result.instructions >= 2_500
         assert result.cycles > 0
 
-    def test_interp_and_typed_kernels_bit_identical(self):
-        interp = simulate(str(GOLDEN), fast().replace(kernel="interp"))
-        typed = simulate(str(GOLDEN), fast().replace(kernel="typed"))
-        assert typed.cycles == interp.cycles
-        assert typed.instructions == interp.instructions
-        assert typed.stats.as_dict() == interp.stats.as_dict()
+    def test_flat_kernel_matches_reference(self):
+        params = fast()
+        flat = simulate(str(GOLDEN), params)
+        program, stream = make_trace(str(GOLDEN), params.warmup_instructions + params.sim_instructions)
+        ref = run_reference(Simulator(params, program, stream), flat.workload)
+        assert flat.cycles == ref.cycles
+        assert flat.instructions == ref.instructions
+        assert flat.stats.as_dict() == ref.stats.as_dict()
 
     def test_differential_check_passes(self):
         from repro.check.differential import check_workload

@@ -56,13 +56,22 @@ class Harness:
         )
 
     def run_cycles(self, n, start=0):
+        """Step the frontend in schedule order; a stand-in backend drains
+        up to ``retire_width`` instructions per cycle (no flushes)."""
+        width = self.params.core.retire_width
         for cycle in range(start, start + n):
             fills = self.memory.tick(cycle)
             if fills:
                 self.fetch.complete_fills(fills, cycle)
+            budget = width
+            while budget > 0 and self.dq.head() is not None:
+                head = self.dq.head()
+                take = min(budget, head.n - head.pos)
+                self.dq.consume_from_head(take)
+                budget -= take
             self.fetch.fetch_stage(cycle)
-            self.fetch.probe_stage(cycle)
             self.bpu.cycle(cycle, self.ftq)
+            self.fetch.probe_stage(cycle)
 
 
 class TestProbeStage:

@@ -35,8 +35,8 @@ class TestDecodeQueueBackpressure:
                 h.fetch.complete_fills(fills, cycle)
             h.fetch.fetch_stage(cycle)
             assert h.dq.total_instrs <= 8
-            h.fetch.probe_stage(cycle)
             h.bpu.cycle(cycle, h.ftq)
+            h.fetch.probe_stage(cycle)
 
 
 class TestMSHRPressure:
@@ -66,8 +66,8 @@ class TestSpanningFetch:
             after = len(h.ftq)
             if before - after >= 1 and h.dq.total_instrs >= 6:
                 consumed_entries.add(cycle)
-            h.fetch.probe_stage(cycle)
             h.bpu.cycle(cycle, h.ftq)
+            h.fetch.probe_stage(cycle)
         assert consumed_entries  # fetch made progress across entries
 
 

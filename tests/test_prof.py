@@ -130,6 +130,34 @@ def history_record(ts, machine, mode, geo, workloads):
     }
 
 
+class TestProfilesTheRunningKernel:
+    """``repro profile`` times the flat kernel every run executes."""
+
+    def test_profile_cli_matches_plain_run_and_times_flat_stages(self, capsys, tmp_path):
+        from repro.cli import _params_from_args, build_parser, main
+
+        argv = ["profile", "--workload", WORKLOAD, "--warmup", "2000",
+                "--instructions", "6000", "--json", str(tmp_path / "prof.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "prof.json").read_text())
+        plain = simulate(WORKLOAD, _params_from_args(build_parser().parse_args(argv)))
+        assert payload["instructions"] == plain.instructions
+        assert payload["ipc"] == plain.ipc
+        by_name = {row["stage"]: row["self_ns"] for row in payload["stages"]}
+        for stage in ("predict", "probe", "fetch"):
+            assert by_name[stage] > 0, stage
+
+    def test_profiled_source_is_the_flat_kernel(self):
+        plain = kernel_source(frozenset())
+        profiled = kernel_source(frozenset({"profile"}))
+        # The flat stage bodies, not per-cycle component method calls.
+        for body_line in ('counters["l1i_tag_access"] += 1', "entries.append(entry)"):
+            assert body_line in plain and body_line in profiled
+        for call in ("probe_stage(", "fetch_stage(", "bpu_cycle("):
+            assert call not in profiled
+
+
 class TestTrend:
     def test_load_history_skips_garbage(self, tmp_path):
         path = tmp_path / "hist.jsonl"

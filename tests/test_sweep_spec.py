@@ -107,6 +107,16 @@ class TestParse:
         with pytest.raises(SweepSpecError):
             parse_spec(spec_data(**mutation))
 
+    @pytest.mark.parametrize("section", ["base", "matrix"])
+    def test_kernel_setting_is_an_unknown_key(self, section):
+        # One cycle kernel runs every config; the old selector is gone.
+        value = "typed" if section == "base" else ["typed", "auto"]
+        data = spec_data()
+        data[section] = {**data[section], "kernel": value}
+        with pytest.raises(SweepSpecError, match="kernel"):
+            parse_spec(data)
+        assert not valid_setting_key("kernel")
+
     def test_base_and_matrix_overlap_rejected(self):
         data = spec_data()
         data["base"]["branch.btb_entries"] = 1024
