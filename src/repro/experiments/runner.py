@@ -7,7 +7,9 @@ content hash of ``(workload, SimParams)``, so equal-but-distinct
 parameter objects built via ``dataclasses.replace`` always hit.
 
 :func:`run_matrix` fans uncached (workload, configuration) points
-across a ``concurrent.futures.ProcessPoolExecutor``; the simulator is
+across a ``concurrent.futures.ProcessPoolExecutor`` in chunks that share
+one trace, so each worker materialises the traces it needs, in parallel
+with the others, and reuses them across the chunk.  The simulator is
 deterministic by seed, so parallel results are bit-identical to serial
 ones.  Worker count comes from ``REPRO_JOBS`` (default
 ``os.cpu_count()``; ``1`` keeps everything in-process).
@@ -21,6 +23,7 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Iterable, Mapping
+from itertools import zip_longest
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from repro.common.ledger import open_ledger
@@ -80,6 +83,52 @@ def _simulate_unit(workload: str, params: SimParams) -> tuple[RunResult, dict]:
     wall = time.perf_counter() - t0
     n = params.warmup_instructions + params.sim_instructions
     return result, _unit_meta(started_ts, wall, n)
+
+
+_Unit = tuple[str, str, object, SimParams]
+"""One pending point as dispatched: ``(unit_id, run_key, workload, params)``."""
+
+
+def _trace_chunks(units: list[_Unit], jobs: int) -> list[list[_Unit]]:
+    """Split pending units into chunks that each share one trace.
+
+    Units group by ``(workload name, warmup + sim)``; each group splits
+    into chunks of at most ``ceil(len(units) / (4 * jobs))`` units, and
+    the chunks interleave round-robin across traces so that distinct
+    traces start first, on different workers.
+    """
+    size = -(-len(units) // (4 * jobs))
+    groups: dict[tuple[str, int], list[_Unit]] = {}
+    for unit in units:
+        _, _, workload, params = unit
+        trace = (_workload_name(workload), params.warmup_instructions + params.sim_instructions)
+        groups.setdefault(trace, []).append(unit)
+    per_trace = [[g[i : i + size] for i in range(0, len(g), size)] for g in groups.values()]
+    return [chunk for turn in zip_longest(*per_trace) for chunk in turn if chunk is not None]
+
+
+def _simulate_chunk(chunk: list[_Unit]) -> list[tuple]:
+    """Worker entry point: every unit of one chunk, which shares one trace.
+
+    The trace materialises once, before any unit's timer starts, so unit
+    wall times stay simulation-only.  A trace that fails fails every
+    unit of the chunk with its exception.  Returns ``(unit_id, key,
+    result | None, meta | None, exc | None)`` per unit.
+    """
+    _, _, workload, params = chunk[0]
+    try:
+        make_trace(workload, params.warmup_instructions + params.sim_instructions)
+    except Exception as exc:
+        return [(unit_id, key, None, None, exc) for unit_id, key, _, _ in chunk]
+    outcomes = []
+    for unit_id, key, workload, params in chunk:
+        try:
+            result, meta = _simulate_unit(workload, params)
+        except Exception as exc:
+            outcomes.append((unit_id, key, None, None, exc))
+            continue
+        outcomes.append((unit_id, key, result, meta, None))
+    return outcomes
 
 
 def _pool_worker_init(log_level: str) -> None:
@@ -309,43 +358,31 @@ def run_points(
             ledger.failed(key, _workload_name(workload), params.label(), unit_id, str(exc))
 
     if jobs > 1 and len(units) > 1:
-        log.debug("fanning %d work unit(s) across %d worker(s)", len(units), jobs)
-        # Pre-generate the needed traces so forked workers inherit warm
-        # lru_caches instead of regenerating per process.  A trace that
-        # fails here fails the units that need it, as it would in them.
-        broken: dict[tuple[str, int], BaseException] = {}
-        runnable = []
-        for unit_id, key in units:
-            workload, params = pending[key]
-            n = params.warmup_instructions + params.sim_instructions
-            trace = (_workload_name(workload), n)
-            if trace not in broken:
+        chunks = _trace_chunks([(unit_id, key, *pending[key]) for unit_id, key in units], jobs)
+        log.debug(
+            "fanning %d work unit(s) in %d chunk(s) across %d worker(s)",
+            len(units),
+            len(chunks),
+            jobs,
+        )
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(chunks)),
+            initializer=_pool_worker_init,
+            initargs=(current_level_name(),),
+        ) as pool:
+            futures = {pool.submit(_simulate_chunk, chunk): chunk for chunk in chunks}
+            for future in as_completed(futures):
                 try:
-                    make_trace(workload, n)
+                    outcomes = future.result()
                 except Exception as exc:
-                    broken[trace] = exc
-            if trace in broken:
-                _record_failure(unit_id, key, broken[trace])
-            else:
-                runnable.append((unit_id, key))
-        if runnable:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(runnable)),
-                initializer=_pool_worker_init,
-                initargs=(current_level_name(),),
-            ) as pool:
-                futures = {
-                    pool.submit(_simulate_unit, *pending[key]): (unit_id, key)
-                    for unit_id, key in runnable
-                }
-                for future in as_completed(futures):
-                    unit_id, key = futures[future]
-                    try:
-                        result, meta = future.result()
-                    except Exception as exc:
+                    for unit_id, key, _, _ in futures[future]:
                         _record_failure(unit_id, key, exc)
-                        continue
-                    _record_unit(unit_id, key, result, meta)
+                    continue
+                for unit_id, key, result, meta, exc in outcomes:
+                    if exc is None:
+                        _record_unit(unit_id, key, result, meta)
+                    else:
+                        _record_failure(unit_id, key, exc)
     else:
         for unit_id, key in units:
             try:

@@ -275,28 +275,26 @@ def _make_cond_behaviour(spec: ProgramSpec, rng: SplitMix64) -> CondBehaviour:
 
 def _generate_function(
     spec: ProgramSpec,
-    fn_index: int,
     rng: SplitMix64,
     behaviours: list,
     wcost: list[int],
+    callees_desc: list[int],
 ) -> tuple[list[_ProtoBlock], int]:
     """Pass 1: build one callee function as proto-blocks.
 
     Functions are generated leaf-first (highest index first); ``wcost``
     holds the worst-case dynamic instruction cost of already-generated
     higher-index functions, and call sites only target callees whose
-    cost fits :attr:`ProgramSpec.call_budget`.  Returns the proto-blocks
-    and this function's own worst-case cost.
+    cost fits :attr:`ProgramSpec.call_budget`.  ``callees_desc`` lists
+    those eligible callees in descending index order (the caller
+    appends each function once generated), so draws index it from the
+    end to pick from the ascending list.  Returns the proto-blocks and
+    this function's own worst-case cost.
     """
     n_blocks = rng.randint(*spec.blocks_per_function)
     protos = [_ProtoBlock(n_instrs=rng.randint(*spec.instrs_per_block)) for _ in range(n_blocks)]
     protos[-1].kind = BranchKind.RETURN
-
-    eligible = [
-        j
-        for j in range(fn_index + 1, spec.n_functions)
-        if 0 < wcost[j] <= spec.call_budget
-    ]
+    n_eligible = len(callees_desc)
 
     for i in range(n_blocks - 1):
         block = protos[i]
@@ -311,9 +309,10 @@ def _generate_function(
             block.kind = BranchKind.UNCOND_DIRECT
             # Skipping at least one block keeps jumps observable.
             block.target_block = rng.choice(later[1:])
-        elif roll < spec.cond_fraction + spec.jump_fraction + spec.call_fraction and eligible:
+        elif roll < spec.cond_fraction + spec.jump_fraction + spec.call_fraction and n_eligible:
             block.kind = BranchKind.CALL_DIRECT
-            block.callee = rng.choice(eligible)
+            # rng.choice over the ascending list, indexed from the end.
+            block.callee = callees_desc[n_eligible - 1 - rng.next_u64() % n_eligible]
         elif (
             roll
             < spec.cond_fraction
@@ -336,11 +335,11 @@ def _generate_function(
             + spec.call_fraction
             + spec.indirect_jump_fraction
             + spec.indirect_call_fraction
-            and len(eligible) >= 2
+            and n_eligible >= 2
         ):
             block.kind = BranchKind.INDIRECT_CALL
-            fanout = min(rng.randint(*spec.indirect_fanout), len(eligible))
-            picks = list(eligible)
+            fanout = min(rng.randint(*spec.indirect_fanout), n_eligible)
+            picks = callees_desc[::-1]
             rng.shuffle(picks)
             block.callees = tuple(sorted(picks[:fanout]))
             behaviours.append(_make_indirect_behaviour(spec, len(block.callees), rng))
@@ -496,10 +495,13 @@ def generate_program(spec: ProgramSpec, seed: int) -> Program:
     wcost = [0] * spec.n_functions
     proto_functions: list[list[_ProtoBlock] | None] = [None] * spec.n_functions
     fn_rngs = [rng.fork(fn) for fn in range(spec.n_functions)]
+    callees_desc: list[int] = []
     for fn in range(spec.n_functions - 1, 0, -1):
-        protos, cost = _generate_function(spec, fn, fn_rngs[fn], behaviours, wcost)
+        protos, cost = _generate_function(spec, fn_rngs[fn], behaviours, wcost, callees_desc)
         proto_functions[fn] = protos
         wcost[fn] = cost
+        if 0 < cost <= spec.call_budget:
+            callees_desc.append(fn)
     proto_functions[0] = _generate_main(spec, fn_rngs[0], behaviours)
 
     # Pass 2: assign addresses.

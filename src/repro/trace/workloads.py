@@ -54,9 +54,10 @@ class WorkloadSpec:
         """Regenerate the program and run the oracle over the window."""
         program = generate_program(self.program_spec, self.program_seed)
         stream = run_oracle(program, n_instructions + TRACE_SLACK, self.oracle_seed)
-        # Compile the fetch-block metadata eagerly so the sweep runner's
-        # pre-generation pass bakes it into the trace cache, and forked
-        # workers inherit it instead of recompiling per process.
+        # Compile the fetch-block metadata eagerly so it is cached with
+        # the trace: the sweep runner's workers materialise a chunk's
+        # trace before timing any unit, so no unit's wall time includes
+        # the compile, and every later unit on the trace reuses it.
         program.fetch_meta()
         return program, stream
 

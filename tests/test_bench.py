@@ -128,6 +128,14 @@ class TestCompareBench:
         base = _payload({"a": 100.0}, 100.0)
         assert compare_bench(cur, base)["aggregate"] == pytest.approx(0.10)
 
+    def test_identical_payloads_have_zero_deltas(self):
+        payload = _payload({"a": 123.0, "b": 45.5}, 80.0)
+        payload["aggregate"]["geomean_instructions_per_second"] = 74.8
+        cmp = compare_bench(payload, payload)
+        assert cmp["workloads"] == {"a": 0.0, "b": 0.0}
+        assert cmp["aggregate"] == 0.0
+        assert not cmp["regressed"]
+
     def test_disjoint_workloads_not_compared(self):
         cmp = compare_bench(
             _payload({"a": 100.0, "new": 50.0}, 100.0),
@@ -163,13 +171,13 @@ class TestBenchCli:
         rc = main(["bench", "--workloads", "nope", "--output", str(tmp_path / "b.json")])
         assert rc == 2
 
-    def _bench_args(self, out, *extra):
+    def _bench_args(self, out, *extra, repeats=1):
         return [
             "bench",
             "--workloads", "spc_fp",
             "--warmup", "1000",
             "--instructions", "2500",
-            "--repeats", "1",
+            "--repeats", str(repeats),
             "--output", str(out),
             "--no-history",
             *extra,
@@ -192,10 +200,14 @@ class TestBenchCli:
 
     def test_baseline_comparison(self, tmp_path, capsys):
         out = tmp_path / "b.json"
-        assert main(self._bench_args(out)) == 0
+        assert main(self._bench_args(out, repeats=3)) == 0
         capsys.readouterr()
-        # Compare against the run itself: every delta is exactly 0%.
-        rc = main(self._bench_args(tmp_path / "b2.json", "--baseline", str(out)))
+        # Two separate timed runs, each the best of three, so host noise
+        # stays well inside the 20% gate (TestCompareBench pins exact
+        # zero deltas for identical payloads).
+        rc = main(
+            self._bench_args(tmp_path / "b2.json", "--baseline", str(out), repeats=3)
+        )
         assert rc == 0
         text = capsys.readouterr().out
         assert "vs baseline" in text and "GEOMEAN" in text

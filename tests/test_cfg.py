@@ -1,5 +1,7 @@
 """Structural tests for synthetic program generation (repro.trace.cfg)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.isa.instructions import BranchKind
 from repro.trace.behaviors import LoopBehaviour
 from repro.trace.cfg import generate_program
+from repro.trace.workloads import default_workloads
 from tests.conftest import tiny_spec
 
 
@@ -160,6 +163,46 @@ class TestDeterminism:
         a = generate_program(tiny_spec(), seed=3)
         b = generate_program(tiny_spec(), seed=4)
         assert set(a.branches) != set(b.branches)
+
+
+def program_digest(program) -> str:
+    """SHA-256 over a program's blocks, branches, behaviours and functions."""
+    h = hashlib.sha256()
+
+    def put(*fields):
+        h.update(repr(fields).encode())
+
+    put(program.entry, program.code_start, program.code_end)
+    for start, b in sorted(program.blocks.items()):
+        put("block", start, b.start, b.n_instrs, b.kind.name, b.target, b.behaviour, b.targets)
+    for addr, i in sorted(program.branches.items()):
+        put("branch", addr, i.addr, i.kind.name, i.target, i.behaviour)
+    for beh in program.behaviours:
+        public = [s for s in type(beh).__slots__ if not s.startswith("_")]
+        put("behaviour", type(beh).__name__, *(getattr(beh, s) for s in public))
+    for f in program.functions:
+        put("function", f.index, f.start, f.end, f.n_blocks, f.n_instrs)
+    return h.hexdigest()
+
+
+CATALOGUE_DIGESTS = {
+    "srv_web": "ad3e20fd1d6c0935d0012fbb9f9934cfcbc311cf2e6e1f64cf0196f29c96fe36",
+    "srv_db": "fa37da6d07fa3e7c39ba5ce33bc4fa7e57da93811016c0b7a2ba2e55dae5b3f3",
+    "srv_cache": "1c133ce7ab4a0844c8d348e000abfd7fa4e840054b1b6c3a7215fff42c452afe",
+    "clt_browser": "295f381160ea369bd1f9121618ed1869ee130af6aa556d6bf60dc2ac610245bd",
+    "clt_media": "9f82f01fee305b295135a7a847dbb36ab4eb4586707eed9a269a837af9879cbb",
+    "spc_int_a": "28c33e59e1462cd055dec931c1d6d39feb7cafc46cb313300e13437df3a8c66c",
+    "spc_int_b": "86f0f9e65eb29c67e2445df72c462b7aacdd9fc8ac5f30c7a0caecf47bfdb1eb",
+    "spc_fp": "c50d03a97baf16f50f4e1cf3441eddca0a2768598e19668de8b660931969f460",
+}
+"""Pinned digests of every catalogue program: a change to the generator
+(a speed-up, say) must leave each program bit-identical."""
+
+
+@pytest.mark.parametrize("workload", default_workloads(), ids=lambda w: w.name)
+def test_catalogue_programs_are_pinned(workload):
+    program = generate_program(workload.program_spec, workload.program_seed)
+    assert program_digest(program) == CATALOGUE_DIGESTS[workload.name]
 
 
 class TestCallBudget:

@@ -10,6 +10,9 @@ Covers the sweep observability contract (docs/OBSERVABILITY.md):
 """
 
 import json
+import multiprocessing
+import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,8 +31,9 @@ from repro.common.ledger import (
 )
 from repro.common.params import SimParams
 from repro.experiments.cache import MANIFEST_SCHEMA_VERSION, ResultCache, run_key
-from repro.experiments.runner import clear_cache, run_config, run_points
+from repro.experiments.runner import _trace_chunks, clear_cache, run_config, run_points
 from repro.experiments.spec import expand, parse_spec
+from repro.trace import workloads as trace_workloads
 from repro.trace.champsim import TraceFormatError
 
 WORKLOADS = ["spc_fp", "srv_web"]
@@ -166,9 +170,10 @@ class TestDeterminism:
         }
 
     def test_broken_trace_reconciles_in_parallel_as_in_serial(self, tmp_path, monkeypatch):
-        # The parallel runner materialises traces in the parent before
-        # fanning out; a trace that fails there must fail only its own
-        # points, exactly as it does inside the serial runner's units.
+        # The parallel runner materialises each chunk's trace in the
+        # worker before any unit of the chunk runs; a trace that fails
+        # there must fail only its own points, exactly as it does inside
+        # the serial runner's units.
         blob = (Path(__file__).parent / "data" / "golden.champsim.xz").read_bytes()
         broken = tmp_path / "broken.champsim.xz"
         broken.write_bytes(blob[: len(blob) // 2])
@@ -197,6 +202,48 @@ class TestDeterminism:
         assert invalid_sequences(ledgers[2]) == {}
         assert strip_timing(ledgers[1]) == strip_timing(ledgers[2])
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the patched materialize",
+    )
+    def test_traces_materialise_in_workers_once_per_chunk(self, tmp_path, monkeypatch):
+        log = tmp_path / "materialised.txt"
+        materialize = trace_workloads.WorkloadSpec.materialize
+
+        def logged(self, n_instructions):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {self.name}\n")
+            return materialize(self, n_instructions)
+
+        monkeypatch.setattr(trace_workloads.WorkloadSpec, "materialize", logged)
+        sweep_points = [
+            (wl, fast().with_branch(btb_entries=entries))
+            for wl in WORKLOADS
+            for entries in (256, 512, 1024, 4096)
+        ]
+
+        def sweep(jobs):
+            clear_cache()
+            trace_workloads._cached_trace.cache_clear()
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"cache{jobs}"))
+            monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / f"ledger{jobs}"))
+            run_points(sweep_points, jobs=jobs)
+            return read_ledger(sorted((tmp_path / f"ledger{jobs}").glob("*.jsonl"))[0])
+
+        parallel = sweep(2)
+        records = [line.split() for line in log.read_text().splitlines()]
+        serial = sweep(1)
+
+        assert str(os.getpid()) not in {pid for pid, _ in records}
+        # Each worker's trace memo serves every later chunk of a trace.
+        assert max(Counter(map(tuple, records)).values()) == 1
+        units = [(f"u{i}", "", wl, params) for i, (wl, params) in enumerate(sweep_points)]
+        chunks = Counter(chunk[0][2] for chunk in _trace_chunks(units, jobs=2))
+        per_trace = Counter(name for _, name in records)
+        assert set(per_trace) == set(WORKLOADS)
+        assert all(per_trace[wl] <= chunks[wl] for wl in WORKLOADS)
+        assert strip_timing(serial) == strip_timing(parallel)
+
     def test_ledgered_results_bit_identical_to_plain(self, tmp_path, monkeypatch):
         ledgered = run_points(points(), jobs=1)
         clear_cache()
@@ -208,6 +255,34 @@ class TestDeterminism:
             a, b = ledgered[key], plain[key]
             assert (a.instructions, a.cycles) == (b.instructions, b.cycles)
             assert a.stats.as_dict() == b.stats.as_dict()
+
+
+class TestTraceChunks:
+    def test_chunks_share_a_trace_and_interleave_across_traces(self):
+        a, b = fast(), fast().with_branch(btb_entries=1024)
+        units = [(f"a{i}", "", "srv_web", a) for i in range(5)]
+        units += [(f"b{i}", "", "spc_fp", b) for i in range(2)]
+        # ceil(7 / (4 * 1)) = 2 units per chunk, distinct traces first.
+        chunks = _trace_chunks(units, jobs=1)
+        assert [[u[0] for u in chunk] for chunk in chunks] == [
+            ["a0", "a1"],
+            ["b0", "b1"],
+            ["a2", "a3"],
+            ["a4"],
+        ]
+
+    def test_window_length_is_part_of_the_trace(self):
+        short = fast()
+        long = short.replace(sim_instructions=5_000)
+        units = [(f"s{i}", "", "srv_web", short) for i in range(3)]
+        units += [(f"l{i}", "", "srv_web", long) for i in range(3)]
+        chunks = _trace_chunks(units, jobs=1)
+        assert [[u[0] for u in chunk] for chunk in chunks] == [
+            ["s0", "s1"],
+            ["l0", "l1"],
+            ["s2"],
+            ["l2"],
+        ]
 
 
 class TestOffSwitch:
