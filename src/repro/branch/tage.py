@@ -8,10 +8,22 @@ an 18KB TAGE with 260-bit taken-only target history; Fig 12 sweeps
 Simulation notes:
 
 * History is the :mod:`repro.branch.history` int; per-table indices and
-  tags are hashes of (pc, masked history).  The masked-history folds are
-  cached per history value because between taken branches every slot
-  shares the same history (paper footnote 1), so consecutive lookups
-  hit the cache.
+  tags are hashes of (pc, masked history).  The masked-history folds
+  are memoised per history value: between taken branches every slot
+  shares the same history (paper footnote 1), and configs that differ
+  only outside the direction predictor (BTB size, PFC, FTQ depth) push
+  the same committed histories.  The memo is therefore one dict per
+  geometry ``(history lengths, index bits, tag bits)``, shared by every
+  TAGE in the process, so sibling sweep points in one worker fold each
+  distinct history once.  The folds are a pure function of the history
+  and the geometry, so sharing them cannot move a statistic; each entry
+  is one packed int (table ``t``'s index fold at bit
+  ``t * (idx_bits + tag_bits)``, its tag fold just above), and the memo
+  is cleared when it reaches :data:`FOLD_MEMO_BOUND` entries.  The folds
+  cannot be kept as incrementally updated circular-shift registers
+  instead: :func:`~repro.common.bits.fold` ends in a ``mix64`` finaliser,
+  and the tag fold hashes ``(hist & mask) * 3``, whose carries are not
+  linear over XOR.
 * ``predict`` is pure; ``update`` recomputes the provider from the
   history captured at prediction time (the caller passes the same
   history value), which keeps speculative prediction and commit-time
@@ -27,6 +39,17 @@ from repro.common.bits import fold, mix64
 _CTR_MAX = 3  # 3-bit signed counter in [-4, 3]
 _CTR_MIN = -4
 _U_MAX = 3
+
+FOLD_MEMO_BOUND = 8192
+"""Entries a geometry's fold memo holds before it is cleared."""
+
+_PC_MIX_MEMO_BOUND = 65536
+
+_FOLD_MEMOS: dict[tuple[tuple[int, ...], int, int], dict[int, int]] = {}
+"""Geometry ``(history lengths, index bits, tag bits)`` -> history -> packed folds."""
+
+_PC_MIX_MEMOS: dict[int, dict[int, list[int]]] = {}
+"""``n_tables`` -> branch PC -> per-table PC hash."""
 
 
 @dataclass(frozen=True)
@@ -97,8 +120,9 @@ class TAGE:
         "_bimodal_mask",
         "_use_alt_on_na",
         "_tick",
-        "_fold_cache",
-        "_pc_mix_cache",
+        "_fold_memo",
+        "_fold_shifts",
+        "_pc_mix_memo",
         "_table_salts",
         "predictions",
         "updates",
@@ -124,8 +148,12 @@ class TAGE:
         self._bimodal_mask = config.bimodal_entries - 1
         self._use_alt_on_na = 0  # in [-8, 7]
         self._tick = 0
-        self._fold_cache: dict[int, list[tuple[int, int]]] = {}
-        self._pc_mix_cache: dict[int, list[int]] = {}
+        self._fold_memo = _FOLD_MEMOS.setdefault(
+            (tuple(self.lengths), self._idx_bits, self._tag_bits), {}
+        )
+        width = self._idx_bits + self._tag_bits
+        self._fold_shifts = [(t, t * width) for t in range(n - 1, -1, -1)]
+        self._pc_mix_memo = _PC_MIX_MEMOS.setdefault(n, {})
         self._table_salts = [(t * 0x9E3779B1) for t in range(n)]
         self.predictions = 0
         self.updates = 0
@@ -134,37 +162,47 @@ class TAGE:
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
-    def _folds(self, hist: int) -> list[tuple[int, int]]:
-        """Per-table (index_fold, tag_fold) of the masked history."""
-        cached = self._fold_cache.get(hist)
-        if cached is not None:
-            return cached
-        folds = [
-            (fold(hist & mask, self._idx_bits), fold((hist & mask) * 3, self._tag_bits))
-            for mask in self._hist_masks
-        ]
-        if len(self._fold_cache) >= 8192:
-            self._fold_cache.clear()
-        self._fold_cache[hist] = folds
+    def _folds(self, hist: int) -> int:
+        """Packed per-table (index_fold, tag_fold) of the masked history.
+
+        Table ``t``'s index fold sits at bit ``t * (idx_bits + tag_bits)``
+        and its tag fold ``idx_bits`` above that.
+        """
+        memo = self._fold_memo
+        folds = memo.get(hist)
+        if folds is None:
+            idx_bits = self._idx_bits
+            tag_bits = self._tag_bits
+            masks = self._hist_masks
+            folds = 0
+            for table, shift in self._fold_shifts:
+                masked = hist & masks[table]
+                folds |= (fold(masked, idx_bits) | fold(masked * 3, tag_bits) << idx_bits) << shift
+            if len(memo) >= FOLD_MEMO_BOUND:
+                memo.clear()
+            memo[hist] = folds
         return folds
 
     def _pc_mixes(self, pc: int) -> list[int]:
         """Per-table PC hash; the branch PC working set is small, so
         one dict lookup replaces ``n_tables`` mix64 evaluations."""
-        mixes = self._pc_mix_cache.get(pc)
+        memo = self._pc_mix_memo
+        mixes = memo.get(pc)
         if mixes is None:
             base = mix64(pc >> 2)
             mixes = [base ^ salt for salt in self._table_salts]
-            if len(self._pc_mix_cache) >= 65536:
-                self._pc_mix_cache.clear()
-            self._pc_mix_cache[pc] = mixes
+            if len(memo) >= _PC_MIX_MEMO_BOUND:
+                memo.clear()
+            memo[pc] = mixes
         return mixes
 
-    def _index_and_tag(self, table: int, pc: int, folds) -> tuple[int, int]:
-        hfold, tfold = folds[table]
+    def _index_and_tag(self, table: int, pc: int, folds: int) -> tuple[int, int]:
+        # Each fold is exactly idx_bits / tag_bits wide, so masking after
+        # the XOR also drops the neighbouring tables' bits.
+        tfolds = folds >> (table * (self._idx_bits + self._tag_bits))
         pc_mix = self._pc_mixes(pc)[table]
-        idx = (hfold ^ pc_mix) & self._idx_mask
-        tag = (tfold ^ (pc_mix >> 13)) & self._tag_mask
+        idx = (tfolds ^ pc_mix) & self._idx_mask
+        tag = ((tfolds >> self._idx_bits) ^ (pc_mix >> 13)) & self._tag_mask
         return idx, tag
 
     def _bimodal_index(self, pc: int) -> int:
@@ -176,12 +214,12 @@ class TAGE:
     def predict(self, pc: int, hist: int) -> bool:
         """Return the predicted direction for ``pc`` under ``hist``."""
         self.predictions += 1
-        taken, _ = self._predict_full(pc, hist)
+        taken, _ = self._predict_full(pc, self._folds(hist))
         return taken
 
-    def _predict_full(self, pc: int, hist: int):
-        folds = self._folds(hist)
+    def _predict_full(self, pc: int, folds: int):
         mixes = self._pc_mixes(pc)
+        idx_bits = self._idx_bits
         idx_mask = self._idx_mask
         tag_mask = self._tag_mask
         tags = self._tag
@@ -189,11 +227,11 @@ class TAGE:
         provider_idx = -1
         alt = -1
         alt_idx = -1
-        for table in range(self.config.n_tables - 1, -1, -1):
-            hfold, tfold = folds[table]
+        for table, shift in self._fold_shifts:
+            tfolds = folds >> shift
             pc_mix = mixes[table]
-            idx = (hfold ^ pc_mix) & idx_mask
-            if tags[table][idx] == (tfold ^ (pc_mix >> 13)) & tag_mask:
+            idx = (tfolds ^ pc_mix) & idx_mask
+            if tags[table][idx] == ((tfolds >> idx_bits) ^ (pc_mix >> 13)) & tag_mask:
                 if provider < 0:
                     provider, provider_idx = table, idx
                 else:
@@ -222,7 +260,7 @@ class TAGE:
         branch)."""
         self.updates += 1
         folds = self._folds(hist)
-        predicted, meta = self._predict_full(pc, hist)
+        predicted, meta = self._predict_full(pc, folds)
         provider, provider_idx, alt, alt_idx, bimodal_taken = meta
 
         mispredicted = predicted != taken
@@ -244,8 +282,6 @@ class TAGE:
             elif provider_taken != taken and alt_taken == taken:
                 self._u[provider][provider_idx] = max(0, self._u[provider][provider_idx] - 1)
             self._ctr[provider][provider_idx] = self._saturate(ctr, taken)
-            if provider == 0 or self._ctr[provider][provider_idx] not in (-1, 0):
-                pass
         else:
             idx = self._bimodal_index(pc)
             self._bimodal[idx] = self._saturate(self._bimodal[idx], taken)

@@ -79,13 +79,6 @@ class Simulator:
         if profiler is not None:
             profiler.bind_to(self)
 
-    def _fill_lines(self, cache, start: int, end: int) -> None:
-        """Fill every cache line overlapping ``[start, end)`` into ``cache``."""
-        line_bytes = self.params.memory.line_bytes
-        fill = cache.fill
-        for line in range(start & ~(line_bytes - 1), end, line_bytes):
-            fill(line)
-
     def _prewarm_l2(self, program: Program) -> None:
         """Install the code image into the L2 before simulation.
 
@@ -97,7 +90,7 @@ class Simulator:
         predictor warm-up still happens architecturally during the
         warmup window.
         """
-        self._fill_lines(self.memory.l2, program.code_start, program.code_end)
+        self.memory.l2.fill_range(program.code_start, program.code_end)
 
     # ------------------------------------------------------------------
     # Flush handling

@@ -12,7 +12,9 @@ Methodology:
 * Each workload runs ``repeats`` times single-process with caching
   bypassed (a benchmark that reads the result cache would measure
   pickle, not simulation); the best repeat is reported to suppress
-  scheduler noise.
+  scheduler noise.  TAGE's fold memo is shared per geometry across the
+  process (:mod:`repro.branch.tage`), so repeats after the first see a
+  warm memo, as sibling sweep points in one worker do.
 * The headline number is the geometric mean of per-workload rates
   (schema 2; it weights every workload equally, where the total-over-
   total ratio lets one slow workload dominate), with the totals kept

@@ -129,6 +129,31 @@ class Cache:
         ways.insert(0, line)
         return CacheAccess(hit=False, way=0, victim=victim)
 
+    def fill_range(self, start: int, end: int) -> None:
+        """Install every line overlapping ``[start, end)``.
+
+        Leaves exactly the state (MRU order, ``evictions``) that
+        :meth:`fill` on each line in ascending address order would.  The
+        lines of one set are every ``n_sets``-th line of the range, so an
+        empty set takes the last ``assoc`` of them, most recent first, in
+        one slice and counts the rest as evictions; a set that already
+        holds lines falls back to per-line :meth:`fill`.
+        """
+        shift = self._line_shift
+        first = start >> shift
+        stop = (end + self.line_bytes - 1) >> shift
+        n_sets = self.n_sets
+        assoc = self.assoc
+        for i in range(first, min(stop, first + n_sets)):
+            lines = range(i << shift, stop << shift, n_sets << shift)
+            ways = self._sets[i % n_sets]
+            if ways:
+                for line in lines:
+                    self.fill(line)
+                continue
+            self.evictions += max(0, len(lines) - assoc)
+            ways[:] = lines[::-1][:assoc]
+
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding ``addr`` if present."""
         line = self.line_of(addr)

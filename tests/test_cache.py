@@ -147,3 +147,58 @@ def test_matches_reference_lru_model(addrs):
             ways.insert(0, line)
 
     assert cache.resident_lines() == {l for ways in reference.values() for l in ways}
+
+
+class TestFillRange:
+    """``fill_range`` leaves what per-line ``fill`` in address order leaves."""
+
+    @staticmethod
+    def _per_line(cache, start, end):
+        for line in range(start & ~(cache.line_bytes - 1), end, cache.line_bytes):
+            cache.fill(line)
+
+    @pytest.mark.parametrize(
+        "n_lines,assoc,start,end",
+        [
+            (64, 4, 0x1000, 0x1400),  # power-of-two sets, aligned
+            (48, 4, 0x1000, 0x1400),  # 12 sets: the modulo index path
+            (64, 4, 0x1013, 0x13C1),  # unaligned start and end
+            (48, 4, 0x1013, 0x13C1),
+            (64, 4, 0x2000, 0x2000),  # empty range
+            (64, 4, 0x2040, 0x2000),  # end before start
+            (64, 4, 0x1000, 0x1000 + 64 * 200),  # 3x the capacity: evictions
+            (48, 4, 0x1008, 0x1008 + 64 * 150),
+            (8, 1, 0x0, 0x1000),  # direct-mapped
+        ],
+    )
+    def test_matches_per_line_fill(self, n_lines, assoc, start, end):
+        bulk, ref = Cache(n_lines, assoc, 64), Cache(n_lines, assoc, 64)
+        bulk.fill_range(start, end)
+        self._per_line(ref, start, end)
+        assert bulk._sets == ref._sets
+        assert (bulk.evictions, bulk.hits, bulk.misses, bulk.tag_probes) == (
+            ref.evictions,
+            ref.hits,
+            ref.misses,
+            ref.tag_probes,
+        )
+        assert bulk.validate() == []
+
+    @given(
+        n_sets=st.sampled_from([1, 3, 4, 6, 8]),
+        assoc=st.integers(1, 4),
+        prefill=st.lists(st.integers(0, 1 << 13), max_size=12),
+        start=st.integers(0, 1 << 13),
+        length=st.integers(-128, 1 << 13),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_line_fill_on_prefilled_cache(self, n_sets, assoc, prefill, start, length):
+        """Sets that already hold lines take the per-line path; the rest slice."""
+        bulk, ref = Cache(n_sets * assoc, assoc, 64), Cache(n_sets * assoc, assoc, 64)
+        for cache in (bulk, ref):
+            for addr in prefill:
+                cache.fill(addr)
+        bulk.fill_range(start, start + length)
+        self._per_line(ref, start, start + length)
+        assert bulk._sets == ref._sets
+        assert bulk.evictions == ref.evictions
